@@ -568,7 +568,7 @@ const LEAF_PHASES: &[&str] = &[
     "init",
     "score",
     "densify",
-    "refine",
+    "embed",
     "probe",
     "finish_embed",
     "scale",

@@ -28,12 +28,15 @@ use sgl_graph::Graph;
 /// in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepTimings {
-    /// Spectral embedding + candidate scoring (Steps 2–3).
+    /// Candidate scoring (Step 3), plus the spectral embedding (Step 2)
+    /// when none is cached — the first iteration's cold embed.
     pub score_s: f64,
     /// Top-candidate selection, edge insertion, and incremental solver
     /// delta absorption (densification).
     pub densify_s: f64,
-    /// Warm re-embedding after the graph change. Delivered as `0.0` to
+    /// The warm-started spectral re-embed (Step 2) after the graph
+    /// change, the `embed` trace span. The field keeps its historical
+    /// name; no weight refinement happens in it. Delivered as `0.0` to
     /// [`SessionObserver`](crate::session::SessionObserver) callbacks
     /// (which fire before the re-embed runs); the copy kept in
     /// [`LearnResult::trace`] carries the measured value.

@@ -48,6 +48,7 @@ use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::{EdgeDelta, Graph};
 use sgl_knn::build_knn_graph;
 use sgl_linalg::par::with_threads_hint as with_session_threads;
+use sgl_linalg::DenseMatrix;
 use sgl_solver::{FaultPlan, SolverContext};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -505,15 +506,27 @@ impl<'m> SglSession<'m> {
 
     fn ensure_embedding(&mut self) -> Result<&Embedding, SglError> {
         if self.embedding.is_none() {
-            let width = self.embedding_width();
-            let shift = self.config.shift();
-            let opts = self.embedding_options();
-            let emb =
-                self.backend
-                    .embed(&self.graph, width, shift, &opts, None, &mut self.solver)?;
-            self.embedding = Some(emb);
+            self.embedding = Some(self.embed(None)?);
         }
         Ok(self.embedding.as_ref().expect("embedding just ensured"))
+    }
+
+    /// Embed the current graph through the session's backend, counting
+    /// the eigensolver iterations it spent.
+    fn embed(&mut self, warm_start: Option<&DenseMatrix>) -> Result<Embedding, SglError> {
+        let width = self.embedding_width();
+        let shift = self.config.shift();
+        let opts = self.embedding_options();
+        let emb = self.backend.embed(
+            &self.graph,
+            width,
+            shift,
+            &opts,
+            warm_start,
+            &mut self.solver,
+        )?;
+        sgl_trace::count("embed.lobpcg_iterations", emb.solver_iterations as u64);
+        Ok(emb)
     }
 
     fn push_record(
@@ -726,25 +739,15 @@ impl<'m> SglSession<'m> {
 
         // Warm-start the next embedding from this iteration's block: only
         // ~⌈Nβ⌉ edges changed, so the old block is nearly invariant.
-        let refine_start = Instant::now();
-        let refine_sp = sgl_trace::span!("refine");
+        let embed_start = Instant::now();
+        let embed_sp = sgl_trace::span!("embed");
         let warm = self.embedding.take().expect("embedding ensured above");
-        let width = self.embedding_width();
-        let shift = self.config.shift();
-        let opts = self.embedding_options();
-        self.embedding = Some(self.backend.embed(
-            &self.graph,
-            width,
-            shift,
-            &opts,
-            Some(&warm.coords),
-            &mut self.solver,
-        )?);
-        drop(refine_sp);
+        self.embedding = Some(self.embed(Some(&warm.coords))?);
+        drop(embed_sp);
         // The record was delivered to observers before the re-embed ran;
         // patch the trace's copy so the final breakdown is complete.
         if let Some(last) = self.trace.last_mut() {
-            last.timings.refine_s = refine_start.elapsed().as_secs_f64();
+            last.timings.refine_s = embed_start.elapsed().as_secs_f64();
         }
         Ok(StepOutcome::Progressed(record))
     }

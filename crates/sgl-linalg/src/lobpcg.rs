@@ -4,14 +4,28 @@
 //! first `r−1` nontrivial Laplacian eigenpairs of the evolving learned
 //! graph, with the constant vector deflated through an explicit constraint
 //! and a fast Laplacian solver (tree solve or AMG V-cycle) plugged in as
-//! the preconditioner. Each iteration costs a handful of operator
-//! applications and one dense Rayleigh–Ritz of order ≤ 3·block.
+//! the preconditioner.
+//!
+//! The iteration is the standard form of Knyazev (2001). With a search
+//! block of `b = nev + extra_block` columns, one iteration costs:
+//!
+//! * `3·b` operator applications — `A` on the block `X` (so the
+//!   convergence test always sees fresh residuals), on the preconditioned
+//!   residuals `W`, and on the conjugate directions `P`;
+//! * `b` preconditioner applications;
+//! * Gram–Schmidt of `W` against `X`, and of `P` against `X` and `W`
+//!   (`X` itself is orthonormal by construction);
+//! * one Rayleigh–Ritz of order `m ≤ 3·b`: the upper triangle of
+//!   `Sᵀ(AS)` for `S = [X W P]`, and a dense `m × m` eigensolve.
+//!
+//! The next block is `X = S·C` for the `b` lowest Ritz vectors `C`, and
+//! the next conjugate directions are the `[W P]` rows of that update,
+//! `P = W·C_W + P·C_P`.
 
 use crate::cg::Preconditioner;
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::operator::LinearOperator;
-use crate::qr::orthonormalize_columns;
 use crate::rng::Rng;
 use crate::symeig::SymEig;
 use crate::vecops;
@@ -20,7 +34,8 @@ use crate::vecops;
 #[derive(Debug, Clone)]
 pub struct LobpcgOptions {
     /// Relative residual tolerance: pair `i` is converged when
-    /// `‖A xᵢ − θᵢ xᵢ‖ ≤ tol · max(|θᵢ|, θ_max·1e-3)`.
+    /// `‖A xᵢ − θᵢ xᵢ‖ ≤ tol · max(‖A‖_est, |θᵢ|)`, where `‖A‖_est` is the
+    /// largest `‖A x‖` seen over the unit block columns so far.
     pub tol: f64,
     /// Iteration cap.
     pub max_iter: usize,
@@ -55,13 +70,20 @@ pub struct LobpcgResult {
     pub residuals: Vec<f64>,
 }
 
+/// Search directions whose norm falls below this fraction of their norm
+/// before orthogonalization are numerically dependent and dropped.
+const DROP_TOL: f64 = 1e-8;
+/// Largest `|XᵀX − I|` entry tolerated before the block is cleaned up.
+const ORTHO_TOL: f64 = 1e-10;
+
 /// Compute the `nev` smallest eigenpairs of `op` orthogonal to
 /// `constraints`, using `precond` as an (approximate) inverse.
 ///
 /// # Errors
 /// Returns [`LinalgError::NotConverged`] when the iteration cap is reached
-/// and [`LinalgError::InvalidInput`] when `nev` exceeds the deflated
-/// dimension.
+/// or the block loses rank, and [`LinalgError::InvalidInput`] when `nev`
+/// exceeds the deflated dimension or the operator or preconditioner
+/// yields a non-finite value.
 pub fn lobpcg<A: LinearOperator, M: Preconditioner>(
     op: &A,
     precond: &M,
@@ -105,58 +127,49 @@ pub fn lobpcg_with_guess<A: LinearOperator, M: Preconditioner>(
     let block = (nev + opts.extra_block).min(usable);
 
     // Orthonormal constraint basis.
-    let mut cons: Vec<Vec<f64>> = Vec::new();
-    for c in constraints {
-        let mut v = c.clone();
-        for q in &cons {
-            vecops::orthogonalize_against(q, &mut v);
-        }
-        if vecops::normalize(&mut v) > 1e-12 {
-            cons.push(v);
+    let mut cons = Block::zeros(n, constraints.len());
+    for (j, c) in constraints.iter().enumerate() {
+        cons.col_mut(j).copy_from_slice(c);
+    }
+    orthonormalize(&mut cons, &[], 1e-12)?;
+
+    // Initial block: warm-start columns first, random fill after (drawn
+    // row by row), deflated and orthonormalized. A guess column inside the
+    // constraint span is dropped rather than normalized from round-off.
+    let mut rng = Rng::seed_from_u64(opts.seed);
+    if let Some(g) = guess {
+        debug_assert_eq!(g.nrows(), n, "guess row count mismatch");
+    }
+    let mut x = Block::zeros(n, block);
+    for i in 0..n {
+        for j in 0..block {
+            x.data[j * n + i] = match guess {
+                Some(g) if j < g.ncols() => g.get(i, j),
+                _ => rng.standard_normal(),
+            };
         }
     }
-    let deflate = |m: &mut DenseMatrix| {
-        for j in 0..m.ncols() {
-            let mut col = m.column(j);
-            for c in &cons {
-                vecops::orthogonalize_against(c, &mut col);
-            }
-            m.set_column(j, &col);
-        }
-    };
-
-    // Initial block: warm-start columns first, random fill after.
-    let mut rng = Rng::seed_from_u64(opts.seed);
-    let mut x = DenseMatrix::from_fn(n, block, |i, j| match guess {
-        Some(g) if j < g.ncols() => {
-            debug_assert_eq!(g.nrows(), n, "guess row count mismatch");
-            g.get(i, j)
-        }
-        _ => rng.standard_normal(),
-    });
-    deflate(&mut x);
-    x = orthonormalize_columns(&x, 1e-12);
-    while x.ncols() < block {
+    orthonormalize(&mut x, &[&cons], 1e-12)?;
+    while x.ncols < block {
         // Degenerate guess columns: top up with fresh random directions.
-        let mut extra = rng.normal_vec(n);
-        for c in &cons {
-            vecops::orthogonalize_against(c, &mut extra);
-        }
-        let mut widened = DenseMatrix::zeros(n, x.ncols() + 1);
-        for j in 0..x.ncols() {
-            widened.set_column(j, &x.column(j));
-        }
-        widened.set_column(x.ncols(), &extra);
-        let reorth = orthonormalize_columns(&widened, 1e-12);
-        if reorth.ncols() <= x.ncols() {
+        let mut extra = Block {
+            n,
+            ncols: 1,
+            data: rng.normal_vec(n),
+        };
+        orthonormalize(&mut extra, &[&cons, &x], 1e-12)?;
+        if extra.ncols == 0 {
             return Err(LinalgError::InvalidInput(
                 "initial block lost rank after deflation".into(),
             ));
         }
-        x = reorth;
+        x.data.extend_from_slice(&extra.data);
+        x.ncols += 1;
     }
 
-    let mut p: Option<DenseMatrix> = None;
+    let mut ax = Block::zeros(n, block);
+    let mut r = Block::zeros(n, block);
+    let mut p: Option<Block> = None;
     let mut theta = vec![0.0; block];
     let mut last_resid = vec![f64::INFINITY; nev];
     // Running estimate of ‖A‖ from the unit basis columns seen so far;
@@ -166,25 +179,26 @@ pub fn lobpcg_with_guess<A: LinearOperator, M: Preconditioner>(
     let mut a_norm = 1e-300f64;
 
     for iter in 1..=opts.max_iter {
-        let ax = apply_block(op, &x);
-        for j in 0..ax.ncols() {
-            a_norm = a_norm.max(vecops::norm2(&ax.column(j)));
-        }
         // Rayleigh quotients and residuals R = AX − X·diag(θ).
-        let xtax = x.gram_with(&ax);
-        for j in 0..x.ncols() {
-            theta[j] = xtax.get(j, j);
-        }
-        let mut r = ax.clone();
-        for j in 0..x.ncols() {
-            let mut col = r.column(j);
-            vecops::axpy(-theta[j], &x.column(j), &mut col);
-            r.set_column(j, &col);
+        for j in 0..block {
+            let (xj, axj) = (x.col(j), ax.col_mut(j));
+            op.apply(xj, axj);
+            a_norm = a_norm.max(norm(axj));
+            theta[j] = dot(xj, axj);
+            for ((rv, &av), &xv) in r.col_mut(j).iter_mut().zip(ax.col(j)).zip(xj) {
+                *rv = av - theta[j] * xv;
+            }
+            if !theta[j].is_finite() {
+                return Err(non_finite("Rayleigh quotient"));
+            }
         }
         // Convergence on the nev targeted pairs, relative to ‖A‖.
         let mut all_ok = true;
-        for j in 0..nev.min(x.ncols()) {
-            let rn = vecops::norm2(&r.column(j));
+        for j in 0..nev {
+            let rn = norm(r.col(j));
+            if !rn.is_finite() {
+                return Err(non_finite("residual"));
+            }
             last_resid[j] = rn;
             if rn > opts.tol * a_norm.max(theta[j].abs()) {
                 all_ok = false;
@@ -200,66 +214,81 @@ pub fn lobpcg_with_guess<A: LinearOperator, M: Preconditioner>(
             });
         }
 
-        // Preconditioned residuals.
-        let mut w = DenseMatrix::zeros(n, r.ncols());
-        let mut z = vec![0.0; n];
-        for j in 0..r.ncols() {
-            precond.apply(&r.column(j), &mut z);
-            w.set_column(j, &z);
-        }
-        deflate(&mut w);
-
-        // Basis S = [X | W | P], orthonormalized with rank control.
-        let cols_total = x.ncols() + w.ncols() + p.as_ref().map_or(0, |p| p.ncols());
-        let mut s = DenseMatrix::zeros(n, cols_total);
-        let mut jj = 0;
-        for j in 0..x.ncols() {
-            s.set_column(jj, &x.column(j));
-            jj += 1;
-        }
-        for j in 0..w.ncols() {
-            s.set_column(jj, &w.column(j));
-            jj += 1;
-        }
-        if let Some(pm) = &p {
-            for j in 0..pm.ncols() {
-                s.set_column(jj, &pm.column(j));
-                jj += 1;
+        // Preconditioned residuals, deflated, orthonormal to X.
+        let mut w = Block::zeros(n, block);
+        for j in 0..block {
+            let wj = w.col_mut(j);
+            precond.apply(r.col(j), wj);
+            for c in cons.cols() {
+                vecops::axpy(-dot(c, wj), c, wj);
             }
         }
-        let s = orthonormalize_columns(&s, 1e-8);
-        if s.ncols() < block {
-            // Degenerate basis; restart the search directions.
-            p = None;
-            continue;
+        orthonormalize(&mut w, &[&x], DROP_TOL)?;
+        // Conjugate directions, orthonormal to X and W.
+        if let Some(pm) = p.as_mut() {
+            orthonormalize(pm, &[&x, &w], DROP_TOL)?;
         }
+        let p_live = p.take().filter(|pm| pm.ncols > 0);
+        let aw = apply_block(op, &w);
+        let ap = p_live.as_ref().map(|pm| apply_block(op, pm));
 
-        // Rayleigh–Ritz: G = Sᵀ A S.
-        let as_ = apply_block(op, &s);
-        let g = s.gram_with(&as_);
+        // Rayleigh–Ritz on S = [X W P]: G = Sᵀ(AS), upper triangle.
+        let s: Vec<&[f64]> = x
+            .cols()
+            .chain(w.cols())
+            .chain(p_live.iter().flat_map(Block::cols))
+            .collect();
+        let as_: Vec<&[f64]> = ax
+            .cols()
+            .chain(aw.cols())
+            .chain(ap.iter().flat_map(Block::cols))
+            .collect();
+        let m = s.len();
+        let mut g = DenseMatrix::zeros(m, m);
+        for i in 0..m {
+            for j in i..m {
+                let v = dot(s[i], as_[j]);
+                g.set(i, j, v);
+                g.set(j, i, v);
+            }
+        }
+        if !g.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(non_finite("Rayleigh–Ritz matrix"));
+        }
         let eig = SymEig::compute(&g)?;
-        // New X = S · C_lowest.
-        let keep = block.min(s.ncols());
-        let c = sub_columns(&eig.vectors, keep);
-        let x_new = s.matmul(&c);
 
-        // Difference-based conjugate directions: P = X_new − X (XᵀX_new).
-        let xtxn = x.gram_with(&x_new);
-        let mut p_new = x_new.clone();
-        // p_new -= X * xtxn
-        let correction = x.matmul(&xtxn);
-        p_new.add_scaled(-1.0, &correction);
-        let p_new = orthonormalize_columns(&p_new, 1e-8);
-        p = if p_new.ncols() > 0 { Some(p_new) } else { None };
-
-        x = orthonormalize_columns(&x_new, 1e-12);
-        if x.ncols() < block {
-            return Err(LinalgError::NotConverged {
-                method: "lobpcg (block rank collapse)",
-                iterations: iter,
-                residual: last_resid.iter().fold(0.0f64, |a, &b| a.max(b)),
-            });
+        // P = [W P]·C_{W,P}, then X = X·C_X + P = S·C, orthonormal as S
+        // and C are.
+        let c = &eig.vectors;
+        let mut x_new = Block::zeros(n, block);
+        let mut p_new = Block::zeros(n, block);
+        for j in 0..block {
+            let pj = p_new.col_mut(j);
+            for k in block..m {
+                vecops::axpy(c.get(k, j), s[k], pj);
+            }
+            let xj = x_new.col_mut(j);
+            xj.copy_from_slice(p_new.col(j));
+            for k in 0..block {
+                vecops::axpy(c.get(k, j), s[k], xj);
+            }
         }
+        p = (m > block).then_some(p_new);
+
+        if orthonormality_defect(&x_new) > ORTHO_TOL {
+            // Round-off has eroded the basis: clean the block and restart
+            // the search directions from it.
+            orthonormalize(&mut x_new, &[&cons], 1e-12)?;
+            p = None;
+            if x_new.ncols < block {
+                return Err(LinalgError::NotConverged {
+                    method: "lobpcg (block rank collapse)",
+                    iterations: iter,
+                    residual: last_resid.iter().fold(0.0f64, |a, &b| a.max(b)),
+                });
+            }
+        }
+        x = x_new;
     }
     Err(LinalgError::NotConverged {
         method: "lobpcg",
@@ -268,27 +297,137 @@ pub fn lobpcg_with_guess<A: LinearOperator, M: Preconditioner>(
     })
 }
 
-fn apply_block<A: LinearOperator>(op: &A, x: &DenseMatrix) -> DenseMatrix {
-    let n = x.nrows();
-    let mut y = DenseMatrix::zeros(n, x.ncols());
-    let mut out = vec![0.0; n];
-    for j in 0..x.ncols() {
-        op.apply(&x.column(j), &mut out);
-        y.set_column(j, &out);
-    }
-    y
+/// A block of `ncols` vectors of length `n`, each stored contiguously
+/// (column-major), so every kernel below streams unit-stride slices.
+struct Block {
+    n: usize,
+    ncols: usize,
+    data: Vec<f64>,
 }
 
-fn sub_columns(m: &DenseMatrix, k: usize) -> DenseMatrix {
-    DenseMatrix::from_fn(m.nrows(), k, |i, j| m.get(i, j))
+impl Block {
+    fn zeros(n: usize, ncols: usize) -> Self {
+        Block {
+            n,
+            ncols,
+            data: vec![0.0; n * ncols],
+        }
+    }
+
+    fn col(&self, j: usize) -> &[f64] {
+        &self.data[j * self.n..(j + 1) * self.n]
+    }
+
+    fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[j * self.n..(j + 1) * self.n]
+    }
+
+    fn cols(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.data.chunks_exact(self.n)
+    }
+}
+
+/// `xᵀy` over eight independent partial sums: the additions pipeline (and
+/// vectorize) instead of each waiting on one running total.
+#[inline]
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
+    let (xs, ys) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
+    let tail: f64 = xs
+        .remainder()
+        .iter()
+        .zip(ys.remainder())
+        .map(|(a, b)| a * b)
+        .sum();
+    let mut acc = [0.0f64; LANES];
+    for (a, b) in xs.zip(ys) {
+        for k in 0..LANES {
+            acc[k] += a[k] * b[k];
+        }
+    }
+    acc.iter().sum::<f64>() + tail
+}
+
+#[inline]
+fn norm(x: &[f64]) -> f64 {
+    dot(x, x).sqrt()
+}
+
+fn non_finite(what: &str) -> LinalgError {
+    LinalgError::InvalidInput(format!(
+        "lobpcg: non-finite {what} (the operator or preconditioner produced NaN or inf)"
+    ))
+}
+
+/// Orthonormalize the columns of `v` against the orthonormal columns of
+/// `basis` and against each other by modified Gram–Schmidt, in place. A
+/// column gets a second pass when the first cancelled more than half of
+/// its length ("twice is enough"), and is dropped when what remains is
+/// below `drop_tol` of its original norm. Survivors keep their order.
+fn orthonormalize(v: &mut Block, basis: &[&Block], drop_tol: f64) -> Result<(), LinalgError> {
+    let n = v.n;
+    let mut kept = 0;
+    for j in 0..v.ncols {
+        let (done, rest) = v.data.split_at_mut(j * n);
+        let c = &mut rest[..n];
+        let orig = norm(c);
+        if !orig.is_finite() {
+            return Err(non_finite("search vector"));
+        }
+        if orig == 0.0 {
+            continue;
+        }
+        let mut before = orig;
+        let mut rem = orig;
+        for _ in 0..2 {
+            let prior = basis.iter().flat_map(|b| b.cols());
+            for q in prior.chain(done[..kept * n].chunks_exact(n)) {
+                vecops::axpy(-dot(q, c), q, c);
+            }
+            rem = norm(c);
+            if rem > std::f64::consts::FRAC_1_SQRT_2 * before {
+                break;
+            }
+            before = rem;
+        }
+        if rem > drop_tol * orig {
+            vecops::scale(1.0 / rem, c);
+            v.data.copy_within(j * n..(j + 1) * n, kept * n);
+            kept += 1;
+        }
+    }
+    v.ncols = kept;
+    v.data.truncate(kept * n);
+    Ok(())
+}
+
+/// Largest entry of `|XᵀX − I|`.
+fn orthonormality_defect(x: &Block) -> f64 {
+    let mut worst = 0.0f64;
+    for i in 0..x.ncols {
+        for j in i..x.ncols {
+            let want = if i == j { 1.0 } else { 0.0 };
+            worst = worst.max((dot(x.col(i), x.col(j)) - want).abs());
+        }
+    }
+    worst
+}
+
+fn apply_block<A: LinearOperator>(op: &A, v: &Block) -> Block {
+    let mut out = Block::zeros(v.n, v.ncols);
+    for (src, dst) in v.cols().zip(out.data.chunks_exact_mut(v.n)) {
+        op.apply(src, dst);
+    }
+    out
 }
 
 /// Sort the block by Rayleigh quotient and return the first `nev` pairs.
-fn finalize(x: &DenseMatrix, theta: &[f64], nev: usize) -> (Vec<f64>, DenseMatrix) {
-    let mut order: Vec<usize> = (0..x.ncols()).collect();
-    order.sort_by(|&a, &b| theta[a].partial_cmp(&theta[b]).unwrap());
+fn finalize(x: &Block, theta: &[f64], nev: usize) -> (Vec<f64>, DenseMatrix) {
+    let mut order: Vec<usize> = (0..x.ncols).collect();
+    order.sort_by(|&a, &b| theta[a].total_cmp(&theta[b]));
     let vals: Vec<f64> = order.iter().take(nev).map(|&j| theta[j]).collect();
-    let cols: Vec<Vec<f64>> = order.iter().take(nev).map(|&j| x.column(j)).collect();
+    let cols: Vec<Vec<f64>> = order.iter().take(nev).map(|&j| x.col(j).to_vec()).collect();
     (vals, DenseMatrix::from_columns(&cols))
 }
 
@@ -296,6 +435,7 @@ fn finalize(x: &DenseMatrix, theta: &[f64], nev: usize) -> (Vec<f64>, DenseMatri
 mod tests {
     use super::*;
     use crate::cg::{IdentityPreconditioner, JacobiPreconditioner};
+    use crate::operator::FnOperator;
     use crate::sparse::CsrMatrix;
     use crate::symeig::SymEig;
 
@@ -432,5 +572,202 @@ mod tests {
             ),
             Err(LinalgError::InvalidInput(_))
         ));
+    }
+
+    /// Laplacian of a weighted edge list.
+    fn laplacian(n: usize, edges: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut t = Vec::new();
+        for &(a, b, w) in edges {
+            t.push((a, a, w));
+            t.push((b, b, w));
+            t.push((a, b, -w));
+            t.push((b, a, -w));
+        }
+        CsrMatrix::from_triplets(n, n, &t)
+    }
+
+    /// Edges of an `nx × ny` grid with weights drawn from `[0.5, 2)`.
+    fn weighted_grid_edges(nx: usize, ny: usize, seed: u64) -> Vec<(usize, usize, f64)> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let id = |i: usize, j: usize| i * ny + j;
+        let mut edges = Vec::new();
+        for i in 0..nx {
+            for j in 0..ny {
+                if i + 1 < nx {
+                    edges.push((id(i, j), id(i + 1, j), rng.uniform_in(0.5, 2.0)));
+                }
+                if j + 1 < ny {
+                    edges.push((id(i, j), id(i, j + 1), rng.uniform_in(0.5, 2.0)));
+                }
+            }
+        }
+        edges
+    }
+
+    fn jacobi(l: &CsrMatrix) -> JacobiPreconditioner {
+        JacobiPreconditioner::from_diagonal(&l.diagonal())
+    }
+
+    /// The returned pairs are the smallest nontrivial eigenpairs of `l`
+    /// (values within `tol` of the dense reference) and the vectors are
+    /// orthonormal and orthogonal to the constant vector.
+    fn assert_matches_dense(l: &CsrMatrix, res: &LobpcgResult, tol: f64) {
+        let dense = SymEig::compute(&l.to_dense()).unwrap();
+        for (k, &lam) in res.values.iter().enumerate() {
+            let want = dense.values[k + 1];
+            assert!((lam - want).abs() < tol, "pair {k}: {lam} vs {want}");
+        }
+        let g = res.vectors.gram();
+        let ones = vec![1.0; l.nrows()];
+        for i in 0..res.values.len() {
+            for j in 0..res.values.len() {
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((g.get(i, j) - want).abs() < 1e-8, "gram ({i},{j})");
+            }
+            assert!(vecops::dot(&res.vectors.column(i), &ones).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn non_finite_operator_is_an_error_not_convergence() {
+        let n = 20;
+        let ones = vec![1.0; n];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let op = FnOperator::new(n, move |_: &[f64], y: &mut [f64]| y.fill(bad));
+            let res = lobpcg(
+                &op,
+                &IdentityPreconditioner,
+                2,
+                std::slice::from_ref(&ones),
+                &LobpcgOptions::default(),
+            );
+            assert!(
+                matches!(res, Err(LinalgError::InvalidInput(_))),
+                "{bad}: {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_preconditioner_is_an_error() {
+        struct NanPreconditioner;
+        impl Preconditioner for NanPreconditioner {
+            fn apply(&self, _: &[f64], z: &mut [f64]) {
+                z.fill(f64::NAN);
+            }
+        }
+        let l = path_laplacian(20);
+        let ones = vec![1.0; 20];
+        let res = lobpcg(
+            &l,
+            &NanPreconditioner,
+            2,
+            &[ones],
+            &LobpcgOptions::default(),
+        );
+        assert!(matches!(res, Err(LinalgError::InvalidInput(_))), "{res:?}");
+    }
+
+    #[test]
+    fn warm_start_after_two_new_edges_beats_cold_start() {
+        let (nx, ny) = (12, 10);
+        let n = nx * ny;
+        let ones = vec![1.0; n];
+        let opts = LobpcgOptions::default();
+        let mut edges = weighted_grid_edges(nx, ny, 3);
+        let before = laplacian(n, &edges);
+        let old = lobpcg(
+            &before,
+            &jacobi(&before),
+            4,
+            std::slice::from_ref(&ones),
+            &opts,
+        )
+        .unwrap();
+
+        edges.push((14, 52, 0.7));
+        edges.push((61, 107, 1.3));
+        let after = laplacian(n, &edges);
+        let cold = lobpcg(
+            &after,
+            &jacobi(&after),
+            4,
+            std::slice::from_ref(&ones),
+            &opts,
+        )
+        .unwrap();
+        let warm = lobpcg_with_guess(
+            &after,
+            &jacobi(&after),
+            4,
+            std::slice::from_ref(&ones),
+            Some(&old.vectors),
+            &opts,
+        )
+        .unwrap();
+        assert_matches_dense(&after, &cold, 1e-6);
+        assert_matches_dense(&after, &warm, 1e-6);
+        assert!(
+            warm.iterations < cold.iterations,
+            "warm {} vs cold {} iterations",
+            warm.iterations,
+            cold.iterations
+        );
+    }
+
+    #[test]
+    fn duplicate_guess_columns_are_topped_up() {
+        let l = grid_laplacian(7, 6);
+        let ones = vec![1.0; 42];
+        let opts = LobpcgOptions::default();
+        let first = lobpcg(&l, &jacobi(&l), 3, std::slice::from_ref(&ones), &opts).unwrap();
+        let v = first.vectors.column(0);
+        // Three copies of one vector and one that deflation zeroes: a
+        // single usable direction for a block of five.
+        let guess = DenseMatrix::from_columns(&[v.clone(), v.clone(), v, ones.clone()]);
+        let res = lobpcg_with_guess(
+            &l,
+            &jacobi(&l),
+            3,
+            std::slice::from_ref(&ones),
+            Some(&guess),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(res.values.len(), 3);
+        assert_matches_dense(&l, &res, 1e-6);
+    }
+
+    #[test]
+    fn session_shape_on_irregular_weighted_graph_matches_dense() {
+        // A random tree plus random chords, weights over three decades.
+        let n = 160;
+        let mut rng = Rng::seed_from_u64(29);
+        let mut edges = Vec::new();
+        for v in 1..n {
+            edges.push((rng.below(v), v, 10f64.powf(rng.uniform_in(-1.5, 1.5))));
+        }
+        for _ in 0..2 * n {
+            let (a, b) = (rng.below(n), rng.below(n));
+            if a != b {
+                edges.push((a.min(b), a.max(b), 10f64.powf(rng.uniform_in(-1.5, 1.5))));
+            }
+        }
+        let l = laplacian(n, &edges);
+        let ones = vec![1.0; n];
+        let res = lobpcg(
+            &l,
+            &jacobi(&l),
+            4,
+            std::slice::from_ref(&ones),
+            &LobpcgOptions {
+                tol: 1e-7,
+                max_iter: 400,
+                extra_block: 3,
+                seed: 0xE16,
+            },
+        )
+        .unwrap();
+        assert_matches_dense(&l, &res, 1e-6);
     }
 }

@@ -1,7 +1,7 @@
 //! Householder QR factorization and column orthonormalization.
 //!
-//! Used for least-squares fits and, critically, for keeping the LOBPCG
-//! block bases numerically orthonormal.
+//! Used for least-squares fits and for keeping the filtered subspace
+//! bases of the solver-free spectrum ([`crate::filter`]) orthonormal.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -207,7 +207,7 @@ impl QrFactor {
 /// one reorthogonalization pass, dropping (numerically) dependent columns.
 ///
 /// Returns the matrix restricted to the surviving columns; column order is
-/// preserved. This is the work-horse basis cleaner inside LOBPCG.
+/// preserved.
 pub fn orthonormalize_columns(a: &DenseMatrix, drop_tol: f64) -> DenseMatrix {
     let m = a.nrows();
     let n = a.ncols();

@@ -79,7 +79,7 @@ fn recorder_never_perturbs_results_at_any_thread_count() {
     // The span tree carries the per-iteration phases the profile
     // tooling keys on.
     for events in [&events_1, &events_2] {
-        for phase in ["iteration", "score", "densify", "refine", "knn_build"] {
+        for phase in ["iteration", "score", "densify", "embed", "knn_build"] {
             assert!(
                 events.iter().any(|e| e.name == phase),
                 "traced run is missing the `{phase}` span"
@@ -127,6 +127,7 @@ fn counter_totals_are_bit_stable_across_thread_counts() {
         "solver.solves",
         "solver.pcg_iterations_total",
         "solver.handles_built",
+        "embed.lobpcg_iterations",
     ] {
         assert_eq!(
             counters_1.get(name),
@@ -138,6 +139,15 @@ fn counter_totals_are_bit_stable_across_thread_counts() {
         counters_1.get("session.iterations").copied(),
         Some(result_1.trace.len() as u64),
         "session.iterations disagrees with the iteration trace"
+    );
+    // Every embed runs at least one eigensolver iteration.
+    assert!(
+        counters_1
+            .get("embed.lobpcg_iterations")
+            .copied()
+            .unwrap_or(0)
+            >= result_1.trace.len() as u64,
+        "embed.lobpcg_iterations missed the re-embeds"
     );
 }
 
