@@ -157,8 +157,7 @@ impl CgWorkspace {
 /// Solve `A x = b` by plain conjugate gradients.
 ///
 /// # Errors
-/// Returns [`LinalgError::NotConverged`] if the iteration cap is hit, and
-/// [`LinalgError::DimensionMismatch`] for a wrong-sized `b`.
+/// See [`pcg_solve`].
 pub fn cg_solve<A: LinearOperator>(
     a: &A,
     b: &[f64],
@@ -170,8 +169,10 @@ pub fn cg_solve<A: LinearOperator>(
 /// Solve `A x = b` by preconditioned conjugate gradients.
 ///
 /// # Errors
-/// Returns [`LinalgError::NotConverged`] if the iteration cap is hit, and
-/// [`LinalgError::DimensionMismatch`] for a wrong-sized `b`.
+/// Returns [`LinalgError::NotConverged`] if the iteration cap is hit,
+/// [`LinalgError::InvalidInput`] at the first non-finite `pᵀAp`, `rᵀz`
+/// or residual, and [`LinalgError::DimensionMismatch`] for a wrong-sized
+/// `b`.
 pub fn pcg_solve<A: LinearOperator, M: Preconditioner>(
     a: &A,
     m: &M,
@@ -239,11 +240,17 @@ pub fn pcg_solve_with<A: LinearOperator, M: Preconditioner>(
     let mut rz = vecops::dot(r, z);
 
     let mut rel = vecops::norm2(r) / bnorm;
+    if !rel.is_finite() {
+        return Err(non_finite("residual"));
+    }
     if rel <= opts.rtol {
         return Ok(CgIterStats {
             iterations: 0,
             relative_residual: rel,
         });
+    }
+    if !rz.is_finite() {
+        return Err(non_finite("rᵀz"));
     }
 
     for iter in 1..=opts.max_iter {
@@ -261,6 +268,9 @@ pub fn pcg_solve_with<A: LinearOperator, M: Preconditioner>(
             vecops::project_out_mean(ap);
         }
         let pap = vecops::dot(p, ap);
+        if !pap.is_finite() {
+            return Err(non_finite("pᵀAp"));
+        }
         if pap <= 0.0 {
             // Semi-definite breakdown: direction in (numerical) null space.
             return Err(LinalgError::NotConverged {
@@ -273,6 +283,9 @@ pub fn pcg_solve_with<A: LinearOperator, M: Preconditioner>(
         vecops::axpy(alpha, p, x);
         vecops::axpy(-alpha, ap, r);
         rel = vecops::norm2(r) / bnorm;
+        if !rel.is_finite() {
+            return Err(non_finite("residual"));
+        }
         if rel <= opts.rtol {
             if opts.project_mean {
                 vecops::project_out_mean(x);
@@ -287,6 +300,9 @@ pub fn pcg_solve_with<A: LinearOperator, M: Preconditioner>(
             vecops::project_out_mean(z);
         }
         let rz_new = vecops::dot(r, z);
+        if !rz_new.is_finite() {
+            return Err(non_finite("rᵀz"));
+        }
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
@@ -300,12 +316,21 @@ pub fn pcg_solve_with<A: LinearOperator, M: Preconditioner>(
     })
 }
 
+/// NaN fails every comparison, so it would otherwise read as neither
+/// breakdown nor convergence and spin PCG to its iteration cap.
+fn non_finite(what: &str) -> LinalgError {
+    LinalgError::InvalidInput(format!(
+        "pcg: non-finite {what} (NaN or inf from the right-hand side, operator or preconditioner)"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::ProjectedOperator;
+    use crate::operator::{FnOperator, ProjectedOperator};
     use crate::rng::Rng;
     use crate::sparse::CsrMatrix;
+    use std::cell::Cell;
 
     /// 1-D Poisson (Dirichlet) matrix of order n.
     fn poisson1d(n: usize) -> CsrMatrix {
@@ -411,6 +436,49 @@ mod tests {
             cg_solve(&a, &[1.0; 4], &CgOptions::default()),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    /// A NaN/inf probe on a 1000-node path: PCG must return a typed error
+    /// within two iterations instead of running to its 10 000 cap.
+    fn non_finite_probe<A: LinearOperator, M: Preconditioner>(a: &A, m: &M) {
+        let mut b = Rng::seed_from_u64(6).normal_vec(a.dim());
+        vecops::project_out_mean(&mut b);
+        let opts = CgOptions {
+            project_mean: true,
+            ..CgOptions::default()
+        };
+        let res = pcg_solve(a, m, &b, &opts);
+        assert!(matches!(res, Err(LinalgError::InvalidInput(_))), "{res:?}");
+    }
+
+    #[test]
+    fn non_finite_preconditioner_errors_within_two_iterations() {
+        struct Poisoned(f64, Cell<usize>);
+        impl Preconditioner for Poisoned {
+            fn apply(&self, _: &[f64], z: &mut [f64]) {
+                self.1.set(self.1.get() + 1);
+                z.fill(self.0);
+            }
+        }
+        let l = path_laplacian(1000);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let m = Poisoned(bad, Cell::new(0));
+            non_finite_probe(&ProjectedOperator::new(&l), &m);
+            assert!(m.1.get() <= 2, "{bad}: {} applies", m.1.get());
+        }
+    }
+
+    #[test]
+    fn non_finite_operator_errors_within_two_iterations() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let applies = Cell::new(0usize);
+            let op = FnOperator::new(1000, |_: &[f64], y: &mut [f64]| {
+                applies.set(applies.get() + 1);
+                y.fill(bad);
+            });
+            non_finite_probe(&op, &IdentityPreconditioner);
+            assert!(applies.get() <= 2, "{bad}: {} applies", applies.get());
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Dense Cholesky factorization for small SPD systems.
 //!
-//! Used for Rayleigh–Ritz mass matrices inside the eigensolvers and for
-//! the dense coarse-grid solves at the bottom of the AMG hierarchy.
+//! Used for Rayleigh–Ritz mass matrices inside the eigensolvers, for
+//! the dense coarse-grid solves at the bottom of the AMG hierarchy, and
+//! for the off-tree capacitance of the spanning-tree preconditioner.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -76,10 +77,19 @@ impl CholeskyFactor {
     /// # Panics
     /// Panics if `b.len()` differs from the matrix order.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.order();
-        assert_eq!(b.len(), n, "cholesky solve: length mismatch");
-        // Forward: L y = b
         let mut y = b.to_vec();
+        self.solve_in_place(&mut y);
+        y
+    }
+
+    /// Solve `A x = b` in place: `y` holds `b` on entry and `x` on exit.
+    ///
+    /// # Panics
+    /// Panics if `y.len()` differs from the matrix order.
+    pub fn solve_in_place(&self, y: &mut [f64]) {
+        let n = self.order();
+        assert_eq!(y.len(), n, "cholesky solve: length mismatch");
+        // Forward: L y = b
         for i in 0..n {
             for k in 0..i {
                 y[i] -= self.l.get(i, k) * y[k];
@@ -93,7 +103,6 @@ impl CholeskyFactor {
             }
             y[i] /= self.l.get(i, i);
         }
-        y
     }
 
     /// Solve for several right-hand sides given as matrix columns.

@@ -184,11 +184,18 @@ mod tests {
         };
         let cell = Arc::new(SnapshotCell::new(make(0)));
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers are running when the first publish starts, and every
+        // load they make before `stop` is counted in `loaded`.
+        let started = Arc::new(std::sync::Barrier::new(5));
+        let loaded = Arc::new(AtomicU64::new(0));
         let mut readers = Vec::new();
         for _ in 0..4 {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
+            let loaded = Arc::clone(&loaded);
             readers.push(std::thread::spawn(move || {
+                started.wait();
                 let mut loads = 0u64;
                 let mut last = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -198,12 +205,23 @@ mod tests {
                     assert!(v >= last, "version went backwards");
                     last = v;
                     loads += 1;
+                    loaded.fetch_add(1, Ordering::Relaxed);
                 }
                 loads
             }));
         }
-        // Publish well past the ring length while readers hammer.
+        started.wait();
+        // Publish well past the ring length while readers hammer. The
+        // last publish waits (up to 10 s) for a reader to have loaded, so
+        // the loads overlap the publishes even when the scheduler runs
+        // the publisher first.
         for v in 1..=500u64 {
+            if v == 500 {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while loaded.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
             cell.publish(make(v));
             if v % 50 == 0 {
                 std::thread::yield_now();

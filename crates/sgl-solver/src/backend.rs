@@ -412,12 +412,16 @@ impl SolverHandle for DenseCholeskyHandle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyMethod {
     /// Let the facade pick: tree solve for trees, tree-PCG for
-    /// near-trees, AMG-PCG otherwise.
+    /// near-trees (exact within the [`TreePcg`](Self::TreePcg) rule),
+    /// AMG-PCG otherwise.
     #[default]
     Auto,
     /// Exact `O(N)` elimination (graph must be a tree).
     TreeDirect,
-    /// PCG preconditioned by a maximum-spanning-tree solve.
+    /// PCG preconditioned by a maximum-spanning-tree solve, exact (one
+    /// PCG iteration per solve) when the `k` off-tree edges satisfy
+    /// `0 < k` and `k² ≤ 16·N`; see
+    /// [`TreePreconditioner`](crate::TreePreconditioner).
     TreePcg,
     /// PCG preconditioned by an aggregation-AMG V-cycle.
     AmgPcg,

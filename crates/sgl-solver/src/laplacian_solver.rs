@@ -15,12 +15,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMethod {
     /// Pick automatically: exact tree solve for trees, tree-preconditioned
-    /// PCG for near-trees (density ≤ 1.4), AMG-PCG otherwise.
+    /// PCG for near-trees (density ≤ 1.4; one iteration per solve within
+    /// the [`TreePcg`](Self::TreePcg) exactness rule, the plain tree
+    /// preconditioner above it), AMG-PCG otherwise.
     #[default]
     Auto,
     /// Exact `O(N)` solve (graph must be a tree).
     TreeDirect,
-    /// PCG preconditioned by a maximum-spanning-tree solve.
+    /// PCG preconditioned by a maximum-spanning-tree solve. With `k`
+    /// off-tree edges, `0 < k` and `k² ≤ 16·N`, the preconditioner
+    /// absorbs them exactly and PCG takes one iteration per solve; see
+    /// [`TreePreconditioner`].
     TreePcg,
     /// PCG preconditioned by an aggregation-AMG V-cycle.
     AmgPcg,

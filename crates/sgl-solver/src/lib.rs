@@ -32,7 +32,8 @@
 //! * [`preconditioner`] / [`ichol`] — Jacobi, symmetric Gauss–Seidel,
 //!   IC(0) and spanning-tree preconditioners (support-graph
 //!   preconditioning: the learned graph *is* a tree plus a few off-tree
-//!   edges, so a tree solve is a near-ideal preconditioner for it);
+//!   edges, which the tree preconditioner absorbs exactly through the
+//!   Woodbury identity when they are few enough);
 //! * [`amg`] — unsmoothed-aggregation algebraic multigrid whose Galerkin
 //!   coarse operators are literal graph contractions;
 //! * [`LaplacianSolver`] — the method-picking facade running projected

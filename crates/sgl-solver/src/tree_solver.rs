@@ -69,15 +69,31 @@ impl TreeSolver {
 
     /// Apply the solve into a caller-provided buffer, allocation-free
     /// (the preconditioner path applies this once per PCG iteration).
-    /// Both sweeps run in place: the upward pass turns `out` into edge
-    /// currents, and the downward pass overwrites each node's current
-    /// with its potential exactly when it is last read (parents precede
-    /// children in elimination order).
+    ///
+    /// # Panics
+    /// Panics if `b` or `out` differs in length from the node count.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64]) {
         let n = self.num_nodes();
         assert_eq!(b.len(), n, "tree solve: rhs length mismatch");
         assert_eq!(out.len(), n, "tree solve: output length mismatch");
         out.copy_from_slice(b);
+        self.solve_in_place(out);
+    }
+
+    /// Solve `L_T x = b` in place: `out` holds `b` on entry and the
+    /// mean-zero `x` on exit. Both sweeps run in place: the upward pass
+    /// turns `out` into edge currents, and the downward pass overwrites
+    /// each node's current with its potential exactly when it is last
+    /// read (parents precede children in elimination order).
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from the node count.
+    pub fn solve_in_place(&self, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            self.num_nodes(),
+            "tree solve: output length mismatch"
+        );
         vecops::project_out_mean(out);
         // Upward sweep: accumulate subtree injection sums into the parent;
         // `out[u]` becomes the current through (u, parent(u)).

@@ -70,22 +70,47 @@ fn knn_graph_identical_at_any_thread_count() {
     }
 }
 
+/// A random spanning tree on 60 nodes plus 4 chords: a near-tree inside
+/// the tree preconditioner's exactness rule (`k² ≤ 16·n`), which the
+/// grid starts are not.
+fn near_tree() -> Graph {
+    let n = 60;
+    let mut rng = Rng::seed_from_u64(60);
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        g.add_edge(rng.below(v), v, 0.2 + rng.uniform());
+    }
+    while g.num_edges() < n - 1 + 4 {
+        let (u, v) = (rng.below(n), rng.below(n));
+        if u != v && !g.has_edge(u, v) {
+            g.add_edge(u, v, 0.2 + rng.uniform());
+        }
+    }
+    g
+}
+
 #[test]
 fn batched_solves_identical_under_ambient_scope() {
-    let g = sgl_datasets::grid2d(8, 8);
-    let mut rng = Rng::seed_from_u64(9);
-    let rhs: Vec<Vec<f64>> = (0..5)
-        .map(|_| {
-            let mut b = rng.normal_vec(64);
-            vecops::project_out_mean(&mut b);
-            b
-        })
-        .collect();
-    let handle = SolverPolicy::default().build_handle(&g).unwrap();
-    let serial = par::with_threads(1, || handle.solve_batch(&rhs).unwrap());
-    for threads in [2usize, 4] {
-        let par_xs = par::with_threads(threads, || handle.solve_batch(&rhs).unwrap());
-        assert_eq!(par_xs, serial, "threads = {threads}");
+    for (g, method) in [
+        (sgl_datasets::grid2d(8, 8), "amg-pcg"),
+        (near_tree(), "tree-pcg"),
+    ] {
+        let n = g.num_nodes();
+        let mut rng = Rng::seed_from_u64(9);
+        let rhs: Vec<Vec<f64>> = (0..5)
+            .map(|_| {
+                let mut b = rng.normal_vec(n);
+                vecops::project_out_mean(&mut b);
+                b
+            })
+            .collect();
+        let handle = SolverPolicy::default().build_handle(&g).unwrap();
+        assert_eq!(handle.method_name(), method);
+        let serial = par::with_threads(1, || handle.solve_batch(&rhs).unwrap());
+        for threads in [2usize, 4] {
+            let par_xs = par::with_threads(threads, || handle.solve_batch(&rhs).unwrap());
+            assert_eq!(par_xs, serial, "{method}, threads = {threads}");
+        }
     }
 }
 
@@ -99,17 +124,23 @@ fn pairwise_resistances_identical_at_any_thread_count() {
     assert_eq!(par_rs, serial);
 }
 
-/// Randomized delta-vs-fresh equivalence harness: starting from a grid,
+/// Randomized delta-vs-fresh equivalence harness: starting from `start`,
 /// apply `rounds` random edge-insertion/reweight batches through
 /// `SolverContext::apply_deltas`, and after each batch check that the
 /// (possibly Woodbury-corrected) context solve matches a from-scratch
 /// factorization of the current graph to `rtol`-grade accuracy — at the
 /// requested thread count.
-fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds: usize) {
+fn check_delta_vs_fresh(
+    start: &Graph,
+    method: PolicyMethod,
+    threads: usize,
+    seed: u64,
+    rounds: usize,
+) {
     use sgl_graph::EdgeDelta;
     use sgl_solver::SolverContext;
 
-    let mut g = sgl_datasets::grid2d(7, 7);
+    let mut g = start.clone();
     let n = g.num_nodes();
     let policy = SolverPolicy::default()
         .with_method(method)
@@ -165,14 +196,20 @@ fn check_delta_vs_fresh(method: PolicyMethod, threads: usize, seed: u64, rounds:
 fn delta_revised_solves_match_fresh_factorizations() {
     // All three PCG preconditioners of the facade (tree, IC(0), AMG),
     // at 1 thread and at N.
+    let grid = sgl_datasets::grid2d(7, 7);
     for method in [
         PolicyMethod::TreePcg,
         PolicyMethod::IcholPcg,
         PolicyMethod::AmgPcg,
     ] {
         for threads in [1usize, 4] {
-            check_delta_vs_fresh(method, threads, 0xD17A, 5);
+            check_delta_vs_fresh(&grid, method, threads, 0xD17A, 5);
         }
+    }
+    // From a near-tree, the tree preconditioner is exact, so the
+    // stale-preconditioner revisions run over an exact base.
+    for threads in [1usize, 4] {
+        check_delta_vs_fresh(&near_tree(), PolicyMethod::TreePcg, threads, 0xD17A, 5);
     }
 }
 
@@ -233,7 +270,7 @@ mod delta_proptests {
                 PolicyMethod::IcholPcg,
                 PolicyMethod::AmgPcg,
             ][method_ix];
-            check_delta_vs_fresh(method, threads, seed, 3);
+            check_delta_vs_fresh(&sgl_datasets::grid2d(7, 7), method, threads, seed, 3);
         }
     }
 }
