@@ -1,5 +1,5 @@
 //! Offline solver-layer benchmark: `solve_batch` vs sequential `solve`
-//! across backends, plus handle-setup cost — emitted as
+//! across methods, plus handle-setup cost — emitted as
 //! `target/repro/BENCH_solver.json` for CI trend tracking.
 //!
 //! Usage: `bench_solver [--side 32] [--m 32] [--reps 5] [--quick]`
@@ -48,7 +48,7 @@ fn main() {
     let reps: usize = args.get("reps", 5);
     banner(
         "BENCH solver",
-        "solve_batch vs sequential solve per backend",
+        "solve_batch vs sequential solve per method",
         &[
             ("side", side.to_string()),
             ("M", m.to_string()),
@@ -65,7 +65,6 @@ fn main() {
         PolicyMethod::TreePcg,
         PolicyMethod::AmgPcg,
         PolicyMethod::JacobiPcg,
-        PolicyMethod::IcholPcg,
         PolicyMethod::DenseCholesky,
     ] {
         let policy = SolverPolicy {

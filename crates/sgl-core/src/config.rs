@@ -35,7 +35,7 @@ use crate::error::SglError;
 use crate::resistance::ResistanceMethod;
 use crate::strategy::LearnStrategyKind;
 use sgl_knn::{KnnGraphConfig, KnnMethod};
-use sgl_solver::{PolicyMethod, ReuseMode, SolverPolicy};
+use sgl_solver::{PolicyMethod, SolverPolicy};
 
 /// kNN construction settings *minus* the neighbor count `k`, which is
 /// owned by [`SglConfig::k`] alone. Worker threads are not a kNN-local
@@ -412,7 +412,7 @@ impl SglConfigBuilder {
     }
 
     /// Replace the whole solver policy (method, tolerance, iteration
-    /// cap, reuse mode) in one call.
+    /// cap, delta-rank cap) in one call.
     pub fn solver_policy(mut self, solver: SolverPolicy) -> Self {
         self.cfg.solver = solver;
         self
@@ -436,26 +436,12 @@ impl SglConfigBuilder {
         self
     }
 
-    /// Solver-handle reuse mode (per graph revision vs. per call).
-    pub fn solver_reuse(mut self, reuse: ReuseMode) -> Self {
-        self.cfg.solver.reuse = reuse;
-        self
-    }
-
     /// Cap on the accumulated low-rank delta the solver context absorbs
     /// incrementally before a full refactorization (0 = incremental
     /// revisions off; every edge insertion refactors, the pre-revision
     /// behavior).
     pub fn max_delta_rank(mut self, max_delta_rank: usize) -> Self {
         self.cfg.solver.max_delta_rank = max_delta_rank;
-        self
-    }
-
-    /// Refresh trigger for incrementally revised solver handles: a
-    /// corrected solve taking more than this factor × its post-build
-    /// baseline iterations schedules a refactorization (must be ≥ 1).
-    pub fn refresh_iter_factor(mut self, refresh_iter_factor: f64) -> Self {
-        self.cfg.solver.refresh_iter_factor = refresh_iter_factor;
         self
     }
 
@@ -628,34 +614,19 @@ mod tests {
             .solver_method(PolicyMethod::DenseCholesky)
             .solver_rtol(1e-8)
             .solver_max_iter(500)
-            .solver_reuse(ReuseMode::PerCall)
             .resistance(ResistanceMethod::SpectralSketch { width: 16 })
             .build()
             .unwrap();
         assert_eq!(c.solver.method, PolicyMethod::DenseCholesky);
         assert_eq!(c.solver.rtol, 1e-8);
         assert_eq!(c.solver.max_iter, 500);
-        assert_eq!(c.solver.reuse, ReuseMode::PerCall);
         assert_eq!(c.resistance, ResistanceMethod::SpectralSketch { width: 16 });
-        // Revision knobs thread through too.
-        let c = SglConfig::builder()
-            .max_delta_rank(17)
-            .refresh_iter_factor(2.5)
-            .build()
-            .unwrap();
+        // The revision knob threads through too.
+        let c = SglConfig::builder().max_delta_rank(17).build().unwrap();
         assert_eq!(c.solver.max_delta_rank, 17);
-        assert_eq!(c.solver.refresh_iter_factor, 2.5);
         // Policy violations are caught at build() time.
         assert!(SglConfig::builder().solver_rtol(0.0).build().is_err());
         assert!(SglConfig::builder().solver_max_iter(0).build().is_err());
-        assert!(SglConfig::builder()
-            .refresh_iter_factor(0.5)
-            .build()
-            .is_err());
-        assert!(SglConfig::builder()
-            .refresh_iter_factor(f64::NAN)
-            .build()
-            .is_err());
         assert!(SglConfig::builder()
             .solver_policy(SolverPolicy::default().with_rtol(f64::NAN))
             .build()

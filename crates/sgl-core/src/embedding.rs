@@ -16,7 +16,7 @@ use sgl_graph::Graph;
 use sgl_linalg::lanczos::{lanczos_largest, lanczos_smallest, LanczosOptions};
 use sgl_linalg::lobpcg::{lobpcg_with_guess, LobpcgOptions};
 use sgl_linalg::{vecops, DenseMatrix, FnOperator, LinalgError, ProjectedOperator};
-use sgl_solver::{AmgHierarchy, AmgOptions, SolverContext, SolverHandle, SolverPolicy};
+use sgl_solver::{AmgHierarchy, SolverContext, SolverHandle, SolverPolicy};
 use std::cell::RefCell;
 
 /// A spectral embedding `U_r` (eq. 12): row `u` is node `u`'s coordinate.
@@ -133,7 +133,7 @@ pub fn spectral_embedding_ctx(
         ));
     }
     let op = LaplacianOp::new(graph);
-    let precond = AmgHierarchy::build(graph, &AmgOptions::default());
+    let precond = AmgHierarchy::build(graph);
     let ones = vec![1.0; n];
     let res = match lobpcg_with_guess(
         &op,

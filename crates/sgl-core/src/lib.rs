@@ -110,6 +110,6 @@ pub use strategy::{
 // The solve-layer vocabulary types, re-exported so configuring a session
 // does not require a direct sgl-solver dependency.
 pub use sgl_solver::{
-    FaultEvent, FaultKind, FaultPlan, PolicyMethod, ReuseMode, SolveStats, SolverContext,
-    SolverHandle, SolverPolicy,
+    FaultEvent, FaultKind, FaultPlan, PolicyMethod, SolveStats, SolverContext, SolverHandle,
+    SolverPolicy,
 };

@@ -158,7 +158,7 @@ trait RefineResistor {
         round: usize,
     ) -> Result<Box<dyn ResistanceEstimator>, SglError>;
 
-    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]) -> Result<(), SglError>;
+    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]);
 }
 
 /// JL sketch through the shared solver context (the classic path).
@@ -183,11 +183,11 @@ impl RefineResistor for JlResistor<'_> {
         )?))
     }
 
-    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]) -> Result<(), SglError> {
+    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]) {
         // Weights just changed — report the (usually full-rank) delta to
         // the context: small graphs absorb it incrementally, larger ones
         // exceed the delta-rank cap and refactor exactly as before.
-        self.ctx.apply_deltas(graph, deltas).map_err(SglError::from)
+        self.ctx.apply_deltas(graph, deltas);
     }
 }
 
@@ -214,9 +214,7 @@ impl RefineResistor for FilteredResistor {
         )?))
     }
 
-    fn graph_updated(&mut self, _graph: &Graph, _deltas: &[EdgeDelta]) -> Result<(), SglError> {
-        Ok(())
-    }
+    fn graph_updated(&mut self, _graph: &Graph, _deltas: &[EdgeDelta]) {}
 }
 
 /// The shared fixed-point loop: score every edge's distortion η against
@@ -289,7 +287,7 @@ fn refine_rounds(
             graph.set_weight(i, e.weight * factor);
             deltas.push(EdgeDelta::reweight(e.u, e.v, e.weight, e.weight * factor));
         }
-        resistor.graph_updated(graph, &deltas)?;
+        resistor.graph_updated(graph, &deltas);
         trace.push(RefineRecord {
             round,
             max_log_distortion: max_log,

@@ -10,8 +10,7 @@
 //! * [`SpectralSketch`] — a *solver-free* truncated-spectrum sketch in
 //!   the spirit of SF-SGL (Zhang, Zhao & Feng 2023): approximate
 //!   eigenpairs from plain Lanczos (dense eigendecomposition below a
-//!   cutoff), no [`LaplacianSolver`](sgl_solver::LaplacianSolver)
-//!   construction anywhere.
+//!   cutoff), no [`SolverHandle`] construction anywhere.
 //!
 //! Which strategy runs is chosen by [`ResistanceMethod`] in
 //! `SglConfig`; a session materializes it with

@@ -715,7 +715,7 @@ impl<'m> SglSession<'m> {
         // correction on its cached factorization instead of refactoring
         // (it refreshes itself at the policy's delta-rank /
         // iteration-blow-up cadence).
-        self.solver.apply_deltas(&self.graph, &deltas)?;
+        self.solver.apply_deltas(&self.graph, &deltas);
         drop(densify_sp);
         let densify_s = densify_start.elapsed().as_secs_f64();
         let record = self.push_record(

@@ -461,7 +461,7 @@ fn densify_level(
         // Low-rank revision: the context keeps its factorization and
         // absorbs the sweep's insertions as a Woodbury correction (or
         // refreshes itself at the policy cadence).
-        ctx.apply_deltas(graph, &deltas)?;
+        ctx.apply_deltas(graph, &deltas);
     }
     Ok((added, warm))
 }

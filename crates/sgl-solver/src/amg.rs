@@ -20,30 +20,15 @@ use sgl_graph::laplacian::laplacian_csr;
 use sgl_graph::{AdjacencyCsr, Graph};
 use sgl_linalg::{vecops, CsrMatrix, DenseMatrix, Preconditioner, SymEig};
 
-/// Options controlling hierarchy construction.
-#[derive(Debug, Clone)]
-pub struct AmgOptions {
-    /// Stop coarsening when a level has at most this many nodes.
-    pub coarsest_size: usize,
-    /// Hard cap on the number of levels.
-    pub max_levels: usize,
-    /// Abort coarsening if a level shrinks by less than this factor
-    /// (guards against stalls on pathological graphs).
-    pub min_shrink: f64,
-    /// Gauss–Seidel sweeps per pre/post smoothing step.
-    pub smoothing_sweeps: usize,
-}
-
-impl Default for AmgOptions {
-    fn default() -> Self {
-        AmgOptions {
-            coarsest_size: 64,
-            max_levels: 25,
-            min_shrink: 0.9,
-            smoothing_sweeps: 1,
-        }
-    }
-}
+/// Stop coarsening when a level has at most this many nodes.
+const COARSEST_SIZE: usize = 64;
+/// Hard cap on the number of levels.
+const MAX_LEVELS: usize = 25;
+/// Abort coarsening if a level shrinks by less than this factor (guards
+/// against stalls on pathological graphs).
+const MIN_SHRINK: f64 = 0.9;
+/// Gauss–Seidel sweeps per pre/post smoothing step.
+const SMOOTHING_SWEEPS: usize = 1;
 
 struct Level {
     laplacian: CsrMatrix,
@@ -107,23 +92,23 @@ impl AmgHierarchy {
     ///
     /// # Panics
     /// Panics on an empty graph.
-    pub fn build(g: &Graph, opts: &AmgOptions) -> Self {
+    pub fn build(g: &Graph) -> Self {
         assert!(g.num_nodes() > 0, "amg: empty graph");
         let mut levels = Vec::new();
         let mut current = g.clone();
-        for _ in 0..opts.max_levels {
-            if current.num_nodes() <= opts.coarsest_size {
+        for _ in 0..MAX_LEVELS {
+            if current.num_nodes() <= COARSEST_SIZE {
                 break;
             }
             let agg = aggregate(&current);
             let num_coarse = agg.num_aggregates;
-            if num_coarse as f64 > opts.min_shrink * current.num_nodes() as f64 {
+            if num_coarse as f64 > MIN_SHRINK * current.num_nodes() as f64 {
                 break; // coarsening stalled
             }
             let coarse = contract(&current, &agg.aggregate_of, num_coarse);
             let lap = laplacian_csr(&current);
             levels.push(Level {
-                smoother: GaussSeidelPreconditioner::new(lap.clone(), opts.smoothing_sweeps),
+                smoother: GaussSeidelPreconditioner::new(lap.clone(), SMOOTHING_SWEEPS),
                 laplacian: lap,
                 aggregate_of: agg.aggregate_of,
                 num_coarse,
@@ -288,7 +273,7 @@ mod tests {
     #[test]
     fn hierarchy_coarsens() {
         let g = grid_graph(30, 30);
-        let h = AmgHierarchy::build(&g, &AmgOptions::default());
+        let h = AmgHierarchy::build(&g);
         assert!(h.num_levels() >= 2);
         let sizes = h.level_sizes();
         assert_eq!(sizes[0], 900);
@@ -301,7 +286,7 @@ mod tests {
     fn v_cycle_reduces_residual() {
         let g = grid_graph(20, 20);
         let l = laplacian_csr(&g);
-        let h = AmgHierarchy::build(&g, &AmgOptions::default());
+        let h = AmgHierarchy::build(&g);
         let mut rng = Rng::seed_from_u64(3);
         let mut b = rng.normal_vec(400);
         vecops::project_out_mean(&mut b);
@@ -319,7 +304,7 @@ mod tests {
     fn amg_pcg_converges_fast_on_meshes() {
         let g = grid_graph(25, 25);
         let l = laplacian_csr(&g);
-        let h = AmgHierarchy::build(&g, &AmgOptions::default());
+        let h = AmgHierarchy::build(&g);
         let mut rng = Rng::seed_from_u64(4);
         let mut b = rng.normal_vec(g.num_nodes());
         vecops::project_out_mean(&mut b);
@@ -344,8 +329,8 @@ mod tests {
     #[test]
     fn small_graph_is_direct_solve() {
         let g = grid_graph(3, 3);
-        let h = AmgHierarchy::build(&g, &AmgOptions::default());
-        assert_eq!(h.num_levels(), 1); // below coarsest_size: pure dense solve
+        let h = AmgHierarchy::build(&g);
+        assert_eq!(h.num_levels(), 1); // below COARSEST_SIZE: pure dense solve
         let l = laplacian_csr(&g);
         let b = {
             let mut v = vec![0.0; 9];

@@ -1,23 +1,25 @@
-//! The pluggable solve layer: [`SolverPolicy`] → [`SolverBackend`] →
-//! [`SolverHandle`].
+//! The solve layer: [`SolverPolicy`] → [`SolverHandle`].
 //!
-//! SGL's pipeline solves `L x = b` in four different stages (measurement
-//! generation, edge scaling, shift-invert embedding, resistance
-//! sketching). Instead of each stage constructing its own
-//! [`LaplacianSolver`], a stage asks a *backend* to build a *handle* for
-//! the current graph and reuses it for every right-hand side — and a
-//! [`SolverPolicy`] is the plain-data description of which backend to
-//! build and how hard to run it, so the choice threads through
-//! configuration instead of being hard-coded at call sites.
+//! SGL solves `L x = b` around its densification loop (measurement
+//! generation, Step-5 edge scaling, the shift-invert embedding fallback,
+//! resistance queries). Instead of each stage preparing its own solver, a
+//! stage asks a [`SolverPolicy`] — the plain-data description of which
+//! method to run and how hard — to build a *handle* for the current graph
+//! and reuses it for every right-hand side.
+//! [`SolverPolicy::build_handle`] is the only way to get a solver, and the
+//! method decision (including the `Auto` rule) lives here alone.
 //!
-//! Both traits are object-safe: sessions store `Box<dyn SolverBackend>`
-//! and share `Arc<dyn SolverHandle>` across stages.
+//! [`SolverHandle`] is object-safe: sessions share
+//! `Arc<dyn SolverHandle>` across stages.
 
-use crate::laplacian_solver::{LaplacianSolver, SolveScratch, SolverMethod, SolverOptions};
-use sgl_graph::laplacian::laplacian_csr;
+use crate::amg::AmgHierarchy;
+use crate::laplacian_solver::{Kernel, PcgHandle};
+use crate::preconditioner::TreePreconditioner;
+use crate::tree_solver::TreeSolver;
+use sgl_graph::laplacian::{laplacian_csr, LaplacianOp};
 use sgl_graph::traversal::is_connected;
 use sgl_graph::Graph;
-use sgl_linalg::{par, vecops, CholeskyFactor, LinalgError, Preconditioner};
+use sgl_linalg::{par, vecops, CholeskyFactor, JacobiPreconditioner, LinalgError, Preconditioner};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,9 +30,9 @@ pub struct SolveStats {
     pub solves: usize,
     /// [`SolverHandle::solve_batch`] calls.
     pub batches: usize,
-    /// Cumulative inner (PCG) iterations; 0 for direct backends.
+    /// Cumulative inner (PCG) iterations; 0 for direct methods.
     pub iterations: usize,
-    /// Relative residual of the most recent solve; 0 for direct backends.
+    /// Relative residual of the most recent solve; 0 for direct methods.
     pub last_relative_residual: f64,
 }
 
@@ -110,7 +112,7 @@ pub trait SolverHandle: Send + Sync {
     /// Solve `L x = b`, returning the mean-zero solution.
     ///
     /// # Errors
-    /// Returns [`LinalgError::NotConverged`] when an iterative backend
+    /// Returns [`LinalgError::NotConverged`] when an iterative method
     /// hits its cap and a dimension error for a wrong-sized `b`.
     fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError>;
 
@@ -118,9 +120,9 @@ pub trait SolverHandle: Send + Sync {
     /// RHS reuses the handle's prepared setup (factorization or
     /// preconditioner) — that amortization comes from the handle, not
     /// the batch — and routing multi-RHS work through this single entry
-    /// point is what lets future backends add genuinely blocked solves
-    /// without touching call sites. Current implementations solve the
-    /// batch one RHS at a time.
+    /// point is what lets a handle add genuinely blocked solves without
+    /// touching call sites. Current implementations solve the batch one
+    /// RHS at a time.
     ///
     /// # Errors
     /// See [`SolverHandle::solve`].
@@ -130,201 +132,39 @@ pub trait SolverHandle: Send + Sync {
     fn stats(&self) -> SolveStats;
 
     /// The handle's prepared PCG preconditioner, if it has one that is
-    /// meaningful *as a preconditioner on its own* (tree solve, IC(0)
-    /// factors, AMG V-cycle, Jacobi diagonal). Solver revisions use it
-    /// to keep preconditioning PCG against a slightly updated operator
-    /// — the stale-preconditioner amortization — so the setup keeps
-    /// earning across low-rank graph changes. Direct backends return
-    /// `None` (their amortization path is the Woodbury-corrected base
-    /// solve instead).
+    /// meaningful *as a preconditioner on its own* (tree solve, AMG
+    /// V-cycle, Jacobi diagonal). Solver revisions use it to keep
+    /// preconditioning PCG against a slightly updated operator — the
+    /// stale-preconditioner amortization — so the setup keeps earning
+    /// across low-rank graph changes. Direct methods return `None`
+    /// (their amortization path is the Woodbury-corrected base solve
+    /// instead).
     fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
         None
     }
 }
 
-/// Builds [`SolverHandle`]s for graphs. Object-safe so a policy can
-/// select among backends at runtime.
-pub trait SolverBackend: std::fmt::Debug + Send + Sync {
-    /// Short backend name (for logs and traces).
-    fn name(&self) -> &'static str;
-
-    /// Prepare a handle for the given connected graph.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidInput`] for graphs the backend
-    /// cannot prepare (empty, disconnected, too large for a dense
-    /// reference backend, non-tree for `TreeDirect`).
-    fn build(&self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError>;
-}
-
 // ---------------------------------------------------------------------------
-// Iterative backend: the existing PCG/AMG/tree facade.
+// Dense Cholesky handle: small-N exact reference.
 // ---------------------------------------------------------------------------
 
-/// [`SolverBackend`] over the [`LaplacianSolver`] facade (exact tree
-/// solves, tree-/AMG-/Jacobi-/IC(0)-preconditioned PCG).
-#[derive(Debug, Clone, Default)]
-pub struct IterativeBackend {
-    /// Facade options (method selection, tolerance, iteration cap).
-    pub opts: SolverOptions,
-    /// Worker threads for `solve_batch` fan-out (0 = ambient, 1 = serial).
-    pub parallelism: usize,
-}
-
-impl IterativeBackend {
-    /// Backend with explicit facade options (ambient parallelism).
-    pub fn new(opts: SolverOptions) -> Self {
-        IterativeBackend {
-            opts,
-            parallelism: 0,
-        }
-    }
-}
-
-impl SolverBackend for IterativeBackend {
-    fn name(&self) -> &'static str {
-        "iterative"
-    }
-
-    fn build(&self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
-        let solver = LaplacianSolver::new(graph, self.opts.clone())?;
-        Ok(Arc::new(IterativeHandle {
-            solver,
-            parallelism: self.parallelism,
-            stats: StatCell::default(),
-        }))
-    }
-}
-
-struct IterativeHandle {
-    solver: LaplacianSolver,
+/// Dense Cholesky reference: factors `L + (1/N)·11ᵀ` (SPD on a connected
+/// graph) once, then every solve is two exact triangular sweeps —
+/// `O(N²)` per RHS with the `O(N³)` factorization paid once per handle,
+/// which favors many-RHS workloads on small graphs. `O(N²)` memory, so
+/// guarded by [`SolverPolicy::dense_max_nodes`]; this is the ground
+/// truth the iterative methods are tested against.
+struct DenseHandle {
+    chol: CholeskyFactor,
+    num_nodes: usize,
     parallelism: usize,
     stats: StatCell,
 }
 
-impl SolverHandle for IterativeHandle {
-    fn num_nodes(&self) -> usize {
-        self.solver.num_nodes()
-    }
-
-    fn method_name(&self) -> &'static str {
-        match self.solver.method() {
-            SolverMethod::Auto => "auto",
-            SolverMethod::TreeDirect => "tree-direct",
-            SolverMethod::TreePcg => "tree-pcg",
-            SolverMethod::AmgPcg => "amg-pcg",
-            SolverMethod::JacobiPcg => "jacobi-pcg",
-            SolverMethod::IcholPcg => "ichol-pcg",
-        }
-    }
-
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let _sp = sgl_trace::span!("pcg_solve");
-        let (x, st) = self.solver.solve_with_stats(b)?;
-        self.stats.record(1, st.iterations, st.relative_residual);
-        Ok(x)
-    }
-
-    fn solve_batch(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        let _sp = sgl_trace::span!("solve_batch", count = rhs.len());
-        self.stats.record_batch();
-        let n = self.solver.num_nodes();
-        // Fan out across right-hand sides; every solve is independent and
-        // runs the identical serial kernel over a per-worker scratch, so
-        // results match the serial path exactly. Nested parallelism (the
-        // sparse kernels inside each solve) collapses to serial inside
-        // the region — one level of fan-out, no oversubscription.
-        let solved: Vec<(Vec<f64>, crate::SolverStats)> =
-            par::with_threads_hint(self.parallelism, || {
-                par::try_map_chunked(rhs.len(), 1, |range| {
-                    let mut scratch = SolveScratch::new();
-                    range
-                        .map(|i| {
-                            let mut x = vec![0.0; n];
-                            let st = self.solver.solve_into(&rhs[i], &mut x, &mut scratch)?;
-                            Ok((x, st))
-                        })
-                        .collect()
-                })
-            })?;
-        // Stats are recorded after the join, in RHS order, so counters
-        // and the "last" residual do not depend on thread scheduling.
-        let mut out = Vec::with_capacity(solved.len());
-        for (x, st) in solved {
-            self.stats.record(1, st.iterations, st.relative_residual);
-            out.push(x);
-        }
-        Ok(out)
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats.snapshot()
-    }
-
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        self.solver.preconditioner()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dense Cholesky backend: small-N exact reference.
-// ---------------------------------------------------------------------------
-
-/// Dense Cholesky reference backend: factors `L + (1/N)·11ᵀ` (SPD on a
-/// connected graph) once, then every solve is two exact triangular
-/// sweeps — `O(N²)` per RHS with the `O(N³)` factorization paid once
-/// per handle, which favors many-RHS workloads on small graphs.
-/// `O(N²)` memory, so guarded by `max_nodes`; this is the ground truth
-/// the iterative backends are tested against.
-#[derive(Debug, Clone, Copy)]
-pub struct DenseCholeskyBackend {
-    /// Refuse graphs larger than this (0 disables the guard).
-    pub max_nodes: usize,
-    /// Worker threads for `solve_batch` fan-out (0 = ambient, 1 = serial).
-    pub parallelism: usize,
-}
-
-impl Default for DenseCholeskyBackend {
-    fn default() -> Self {
-        DenseCholeskyBackend {
-            max_nodes: 4096,
-            parallelism: 0,
-        }
-    }
-}
-
-impl DenseCholeskyBackend {
-    /// Backend with an explicit node-count guard (0 = unlimited).
-    pub fn with_limit(max_nodes: usize) -> Self {
-        DenseCholeskyBackend {
-            max_nodes,
-            parallelism: 0,
-        }
-    }
-}
-
-impl SolverBackend for DenseCholeskyBackend {
-    fn name(&self) -> &'static str {
-        "dense-cholesky"
-    }
-
-    fn build(&self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
+impl DenseHandle {
+    /// Factor a connected, non-empty graph.
+    fn new(graph: &Graph, parallelism: usize) -> Result<Self, LinalgError> {
         let n = graph.num_nodes();
-        if n == 0 {
-            return Err(LinalgError::InvalidInput("empty graph".into()));
-        }
-        if self.max_nodes != 0 && n > self.max_nodes {
-            return Err(LinalgError::InvalidInput(format!(
-                "DenseCholeskyBackend limited to {} nodes, got {n}; raise the \
-                 limit or use an iterative backend",
-                self.max_nodes
-            )));
-        }
-        if !is_connected(graph) {
-            return Err(LinalgError::InvalidInput(
-                "laplacian solver requires a connected graph".into(),
-            ));
-        }
         // L + (1/n)·11ᵀ is SPD and agrees with L on the mean-zero
         // subspace, so solving against it with a mean-zero b yields the
         // mean-zero Laplacian solution directly.
@@ -336,24 +176,14 @@ impl SolverBackend for DenseCholeskyBackend {
                 dense.set(i, j, v);
             }
         }
-        let chol = CholeskyFactor::compute(&dense)?;
-        Ok(Arc::new(DenseCholeskyHandle {
-            chol,
+        Ok(DenseHandle {
+            chol: CholeskyFactor::compute(&dense)?,
             num_nodes: n,
-            parallelism: self.parallelism,
+            parallelism,
             stats: StatCell::default(),
-        }))
+        })
     }
-}
 
-struct DenseCholeskyHandle {
-    chol: CholeskyFactor,
-    num_nodes: usize,
-    parallelism: usize,
-    stats: StatCell,
-}
-
-impl DenseCholeskyHandle {
     fn solve_one(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if b.len() != self.num_nodes {
             return Err(LinalgError::DimensionMismatch {
@@ -370,13 +200,13 @@ impl DenseCholeskyHandle {
     }
 }
 
-impl SolverHandle for DenseCholeskyHandle {
+impl SolverHandle for DenseHandle {
     fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
     fn method_name(&self) -> &'static str {
-        "dense-cholesky"
+        PolicyMethod::DenseCholesky.name()
     }
 
     fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
@@ -389,8 +219,8 @@ impl SolverHandle for DenseCholeskyHandle {
     fn solve_batch(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
         let _sp = sgl_trace::span!("solve_batch", count = rhs.len());
         self.stats.record_batch();
-        // Independent triangular sweeps per RHS: fan out like the
-        // iterative handle (results are per-RHS exact either way).
+        // Independent triangular sweeps per RHS: fan out like the PCG
+        // handle (results are per-RHS exact either way).
         let out = par::with_threads_hint(self.parallelism, || {
             par::try_map_indexed(rhs.len(), 1, |i| self.solve_one(&rhs[i]))
         })?;
@@ -407,34 +237,33 @@ impl SolverHandle for DenseCholeskyHandle {
 // SolverPolicy: the plain-data, config-threadable description.
 // ---------------------------------------------------------------------------
 
-/// Method selection of a [`SolverPolicy`] — the iterative facade's
-/// methods plus the dense Cholesky reference.
+/// The method a [`SolverPolicy`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyMethod {
-    /// Let the facade pick: tree solve for trees, tree-PCG for
-    /// near-trees (exact within the [`TreePcg`](Self::TreePcg) rule),
-    /// AMG-PCG otherwise.
+    /// Pick from the graph: exact tree solve for trees, tree-PCG for
+    /// near-trees (density ≤ 1.4; exact within the
+    /// [`TreePcg`](Self::TreePcg) rule, the plain tree preconditioner
+    /// above it), AMG-PCG otherwise.
     #[default]
     Auto,
     /// Exact `O(N)` elimination (graph must be a tree).
     TreeDirect,
     /// PCG preconditioned by a maximum-spanning-tree solve, exact (one
     /// PCG iteration per solve) when the `k` off-tree edges satisfy
-    /// `0 < k` and `k² ≤ 16·N`; see
-    /// [`TreePreconditioner`](crate::TreePreconditioner).
+    /// `0 < k` and `k² ≤ 16·N`; see [`TreePreconditioner`].
     TreePcg,
     /// PCG preconditioned by an aggregation-AMG V-cycle.
     AmgPcg,
     /// PCG preconditioned by the Laplacian diagonal.
     JacobiPcg,
-    /// PCG preconditioned by a shifted IC(0) factorization.
-    IcholPcg,
     /// Dense Cholesky of `L + (1/N)·11ᵀ` — exact, small-N reference.
     DenseCholesky,
 }
 
 impl PolicyMethod {
-    /// Short stable name (for logs, traces, and downgrade events).
+    /// Short stable name (for logs, traces, and downgrade events); a
+    /// handle's [`method_name`](SolverHandle::method_name) is the name of
+    /// the method `Auto` resolved to.
     pub fn name(self) -> &'static str {
         match self {
             PolicyMethod::Auto => "auto",
@@ -442,53 +271,24 @@ impl PolicyMethod {
             PolicyMethod::TreePcg => "tree-pcg",
             PolicyMethod::AmgPcg => "amg-pcg",
             PolicyMethod::JacobiPcg => "jacobi-pcg",
-            PolicyMethod::IcholPcg => "ichol-pcg",
             PolicyMethod::DenseCholesky => "dense-cholesky",
         }
     }
-
-    /// The facade method this policy method maps to (`None` for the
-    /// dense reference, which bypasses the facade).
-    pub fn solver_method(self) -> Option<SolverMethod> {
-        match self {
-            PolicyMethod::Auto => Some(SolverMethod::Auto),
-            PolicyMethod::TreeDirect => Some(SolverMethod::TreeDirect),
-            PolicyMethod::TreePcg => Some(SolverMethod::TreePcg),
-            PolicyMethod::AmgPcg => Some(SolverMethod::AmgPcg),
-            PolicyMethod::JacobiPcg => Some(SolverMethod::JacobiPcg),
-            PolicyMethod::IcholPcg => Some(SolverMethod::IcholPcg),
-            PolicyMethod::DenseCholesky => None,
-        }
-    }
-}
-
-/// When a cached handle may be reused across solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReuseMode {
-    /// One handle per graph revision, shared by every stage until the
-    /// graph changes (the production mode).
-    #[default]
-    PerRevision,
-    /// Rebuild on every request (debugging / A-B measurement of setup
-    /// cost; the pre-redesign behavior).
-    PerCall,
 }
 
 /// The user-controllable description of how the pipeline solves
 /// Laplacian systems: which method, to what tolerance, under which
-/// iteration cap, and whether handles are reused across a graph
-/// revision. Plain data — thread it through `SglConfig` and hand it to a
-/// [`SolverContext`](crate::SolverContext).
+/// iteration cap. Plain data — thread it through `SglConfig` and hand it
+/// to a [`SolverContext`](crate::SolverContext), or build a standalone
+/// handle with [`build_handle`](SolverPolicy::build_handle).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverPolicy {
-    /// Backend/method selection.
+    /// Method selection.
     pub method: PolicyMethod,
     /// Relative residual tolerance for iterative methods.
     pub rtol: f64,
     /// Iteration cap for iterative methods.
     pub max_iter: usize,
-    /// Handle reuse across graph revisions.
-    pub reuse: ReuseMode,
     /// Node-count guard for [`PolicyMethod::DenseCholesky`] (0 = off).
     pub dense_max_nodes: usize,
     /// Worker threads for `solve_batch` fan-out across right-hand sides.
@@ -507,13 +307,6 @@ pub struct SolverPolicy {
     /// `0` disables the incremental path entirely (every delta batch
     /// invalidates — the pre-revision behavior).
     pub max_delta_rank: usize,
-    /// Refresh trigger on iteration blow-up: when a delta-corrected
-    /// solve's outer PCG takes more than `refresh_iter_factor ×` the
-    /// iterations of the first corrected solve after the last full
-    /// build, the context schedules a refactorization (the stale base
-    /// factorization has drifted too far from the current operator).
-    /// Must be ≥ 1; larger tolerates more drift before refreshing.
-    pub refresh_iter_factor: f64,
 }
 
 impl Default for SolverPolicy {
@@ -522,11 +315,9 @@ impl Default for SolverPolicy {
             method: PolicyMethod::Auto,
             rtol: 1e-10,
             max_iter: 10_000,
-            reuse: ReuseMode::PerRevision,
             dense_max_nodes: 4096,
             parallelism: 0,
             max_delta_rank: 64,
-            refresh_iter_factor: 4.0,
         }
     }
 }
@@ -549,43 +340,67 @@ impl SolverPolicy {
                 "solver max_iter must be at least 1".into(),
             ));
         }
-        if !self.refresh_iter_factor.is_finite() || self.refresh_iter_factor < 1.0 {
-            return Err(LinalgError::InvalidInput(format!(
-                "solver refresh_iter_factor must be finite and at least 1, got {}",
-                self.refresh_iter_factor
-            )));
-        }
         Ok(())
     }
 
-    /// Instantiate the backend this policy describes.
-    pub fn backend(&self) -> Box<dyn SolverBackend> {
-        match self.method.solver_method() {
-            Some(method) => Box::new(IterativeBackend {
-                opts: SolverOptions {
-                    method,
-                    rtol: self.rtol,
-                    max_iter: self.max_iter,
-                    ..SolverOptions::default()
-                },
-                parallelism: self.parallelism,
-            }),
-            None => Box::new(DenseCholeskyBackend {
-                max_nodes: self.dense_max_nodes,
-                parallelism: self.parallelism,
-            }),
-        }
-    }
-
-    /// Validate, then build a handle for `graph` in one step (the
-    /// convenience path for standalone utilities; sessions go through a
-    /// [`SolverContext`](crate::SolverContext) instead).
+    /// Validate, resolve the method, and prepare a handle for `graph`.
     ///
     /// # Errors
-    /// See [`SolverPolicy::validate`] and [`SolverBackend::build`].
+    /// See [`SolverPolicy::validate`]; also returns
+    /// [`LinalgError::InvalidInput`] for graphs the method cannot
+    /// prepare (empty, disconnected, above `dense_max_nodes` for
+    /// [`PolicyMethod::DenseCholesky`], non-tree for
+    /// [`PolicyMethod::TreeDirect`]).
     pub fn build_handle(&self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
         self.validate()?;
-        self.backend().build(graph)
+        let n = graph.num_nodes();
+        if n == 0 {
+            return Err(LinalgError::InvalidInput("empty graph".into()));
+        }
+        if self.method == PolicyMethod::DenseCholesky
+            && self.dense_max_nodes != 0
+            && n > self.dense_max_nodes
+        {
+            return Err(LinalgError::InvalidInput(format!(
+                "dense Cholesky limited to {} nodes, got {n}; raise \
+                 dense_max_nodes or use an iterative method",
+                self.dense_max_nodes
+            )));
+        }
+        if !is_connected(graph) {
+            return Err(LinalgError::InvalidInput(
+                "laplacian solver requires a connected graph".into(),
+            ));
+        }
+        let is_tree = graph.num_edges() == n - 1;
+        let method = match self.method {
+            PolicyMethod::Auto if is_tree => PolicyMethod::TreeDirect,
+            PolicyMethod::Auto if graph.density() <= 1.4 => PolicyMethod::TreePcg,
+            PolicyMethod::Auto => PolicyMethod::AmgPcg,
+            m => m,
+        };
+        let pcg = |precond: Arc<dyn Preconditioner + Send + Sync>| Kernel::Pcg {
+            op: LaplacianOp::new(graph),
+            precond,
+        };
+        let kernel = match method {
+            PolicyMethod::DenseCholesky => {
+                return Ok(Arc::new(DenseHandle::new(graph, self.parallelism)?));
+            }
+            PolicyMethod::TreeDirect if !is_tree => {
+                return Err(LinalgError::InvalidInput(
+                    "TreeDirect requested on a graph with cycles".into(),
+                ));
+            }
+            PolicyMethod::TreeDirect => Kernel::Tree(TreeSolver::new(graph)),
+            PolicyMethod::TreePcg => pcg(Arc::new(TreePreconditioner::from_graph(graph))),
+            PolicyMethod::AmgPcg => pcg(Arc::new(AmgHierarchy::build(graph))),
+            PolicyMethod::JacobiPcg => pcg(Arc::new(JacobiPreconditioner::from_diagonal(
+                &graph.weighted_degrees(),
+            ))),
+            PolicyMethod::Auto => unreachable!("resolved above"),
+        };
+        Ok(Arc::new(PcgHandle::new(kernel, method, self, n)))
     }
 
     /// Builder-style setter for the method.
@@ -609,13 +424,6 @@ impl SolverPolicy {
         self
     }
 
-    /// Builder-style setter for the reuse mode.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: ReuseMode) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
     /// Builder-style setter for the batch-solve worker count
     /// (0 = ambient/all cores, 1 = serial).
     #[must_use]
@@ -629,13 +437,6 @@ impl SolverPolicy {
     #[must_use]
     pub fn with_max_delta_rank(mut self, max_delta_rank: usize) -> Self {
         self.max_delta_rank = max_delta_rank;
-        self
-    }
-
-    /// Builder-style setter for the iteration-blow-up refresh trigger.
-    #[must_use]
-    pub fn with_refresh_iter_factor(mut self, refresh_iter_factor: f64) -> Self {
-        self.refresh_iter_factor = refresh_iter_factor;
         self
     }
 }
@@ -653,16 +454,20 @@ mod tests {
         b
     }
 
+    fn dense() -> SolverPolicy {
+        SolverPolicy::default().with_method(PolicyMethod::DenseCholesky)
+    }
+
     #[test]
     fn dense_cholesky_matches_iterative() {
         let g = grid2d(7, 7);
         let b = mean_zero_rhs(49, 1);
-        let dense = DenseCholeskyBackend::default().build(&g).unwrap();
-        let pcg = IterativeBackend::default().build(&g).unwrap();
+        let dense = dense().build_handle(&g).unwrap();
+        let pcg = SolverPolicy::default().build_handle(&g).unwrap();
         let xd = dense.solve(&b).unwrap();
         let xi = pcg.solve(&b).unwrap();
         let d = vecops::sub(&xd, &xi);
-        assert!(vecops::norm2(&d) < 1e-7, "backends disagree");
+        assert!(vecops::norm2(&d) < 1e-7, "methods disagree");
         assert!(vecops::mean(&xd).abs() < 1e-12);
     }
 
@@ -670,7 +475,7 @@ mod tests {
     fn dense_cholesky_solves_exactly() {
         let g = grid2d(6, 5);
         let b = mean_zero_rhs(30, 2);
-        let h = DenseCholeskyBackend::default().build(&g).unwrap();
+        let h = dense().build_handle(&g).unwrap();
         let x = h.solve(&b).unwrap();
         let l = laplacian_csr(&g);
         let r = vecops::sub(&b, &l.matvec(&x));
@@ -681,11 +486,8 @@ mod tests {
     fn solve_batch_matches_sequential() {
         let g = grid2d(6, 6);
         let rhs: Vec<Vec<f64>> = (0..4).map(|i| mean_zero_rhs(36, 10 + i)).collect();
-        for backend in [
-            Box::new(IterativeBackend::default()) as Box<dyn SolverBackend>,
-            Box::new(DenseCholeskyBackend::default()),
-        ] {
-            let h = backend.build(&g).unwrap();
+        for policy in [SolverPolicy::default(), dense()] {
+            let h = policy.build_handle(&g).unwrap();
             let batch = h.solve_batch(&rhs).unwrap();
             for (b, x) in rhs.iter().zip(&batch) {
                 let single = h.solve(b).unwrap();
@@ -693,7 +495,7 @@ mod tests {
                 assert!(
                     vecops::norm2(&d) < 1e-12,
                     "{} batch mismatch",
-                    backend.name()
+                    h.method_name()
                 );
             }
         }
@@ -737,7 +539,7 @@ mod tests {
     #[test]
     fn stats_count_solves_and_batches() {
         let g = grid2d(5, 5);
-        let h = IterativeBackend::default().build(&g).unwrap();
+        let h = SolverPolicy::default().build_handle(&g).unwrap();
         assert_eq!(h.stats(), SolveStats::default());
         let rhs: Vec<Vec<f64>> = (0..3).map(|i| mean_zero_rhs(25, i)).collect();
         h.solve(&rhs[0]).unwrap();
@@ -752,31 +554,27 @@ mod tests {
     #[test]
     fn dense_guard_and_bad_graphs_rejected() {
         let g = grid2d(5, 5);
-        assert!(DenseCholeskyBackend::with_limit(10).build(&g).is_err());
-        assert!(DenseCholeskyBackend::with_limit(0).build(&g).is_ok());
+        let limited = |max| SolverPolicy {
+            dense_max_nodes: max,
+            ..dense()
+        };
+        assert!(limited(10).build_handle(&g).is_err());
+        assert!(limited(0).build_handle(&g).is_ok());
         let disconnected = Graph::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]);
-        assert!(DenseCholeskyBackend::default()
-            .build(&disconnected)
-            .is_err());
-        assert!(IterativeBackend::default().build(&disconnected).is_err());
+        assert!(dense().build_handle(&disconnected).is_err());
+        assert!(SolverPolicy::default().build_handle(&disconnected).is_err());
     }
 
     #[test]
     fn policy_builds_every_method() {
         let g = grid2d(5, 5);
         let b = mean_zero_rhs(25, 3);
-        let reference = SolverPolicy::default()
-            .with_method(PolicyMethod::DenseCholesky)
-            .build_handle(&g)
-            .unwrap()
-            .solve(&b)
-            .unwrap();
+        let reference = dense().build_handle(&g).unwrap().solve(&b).unwrap();
         for method in [
             PolicyMethod::Auto,
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
             PolicyMethod::JacobiPcg,
-            PolicyMethod::IcholPcg,
         ] {
             let h = SolverPolicy::default()
                 .with_method(method)
@@ -823,6 +621,4 @@ mod tests {
         loose.solve(&b).unwrap();
         assert!(loose.stats().iterations < tight.stats().iterations);
     }
-
-    use sgl_graph::Graph;
 }

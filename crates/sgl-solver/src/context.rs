@@ -16,8 +16,8 @@
 //!
 //! Algorithm 1 adds only `⌈Nβ⌉` edges per iteration, so consecutive
 //! graph revisions differ by a *low-rank* Laplacian update
-//! `L' = L + B W Bᵀ`. Instead of refactoring (tree / IC(0) / AMG
-//! hierarchy / dense Cholesky) from scratch, `apply_deltas` keeps the
+//! `L' = L + B W Bᵀ`. Instead of refactoring (tree / AMG hierarchy /
+//! dense Cholesky) from scratch, `apply_deltas` keeps the
 //! existing base handle and wraps it in a
 //! [`WoodburyUpdate`] correction: the corrected
 //! base is a near-exact inverse of the updated operator, and each solve
@@ -28,11 +28,9 @@
 //! rescale (Step 5) is even cheaper: `(c·L)⁺ = L⁺/c` needs no new
 //! factorization at all.
 //!
-//! Two triggers force a full refactorization
-//! ([`SolverPolicy::max_delta_rank`] and
-//! [`SolverPolicy::refresh_iter_factor`]): the accumulated delta rank
-//! exceeding its cap, and the corrected solve's outer PCG iteration
-//! count blowing up past `refresh_iter_factor ×` its post-build
+//! Two triggers force a full refactorization: the accumulated delta rank
+//! exceeding [`SolverPolicy::max_delta_rank`], and the corrected solve's
+//! outer PCG iteration count blowing up past a fixed 4 × its post-build
 //! baseline (the stale factorization has drifted too far). Numerical
 //! breakdown of the correction (singular capacitance, vanishing merged
 //! weight) refreshes as well, so the incremental path never serves an
@@ -45,9 +43,7 @@
 //! epochs instead of rehashing the edge list (the structural fingerprint
 //! survives as a debug assertion only).
 
-use crate::backend::{
-    PolicyMethod, ReuseMode, SolveStats, SolverBackend, SolverHandle, SolverPolicy, StatCell,
-};
+use crate::backend::{PolicyMethod, SolveStats, SolverHandle, SolverPolicy, StatCell};
 use crate::fault::{FaultKind, FaultPlan};
 use sgl_graph::laplacian::{apply_laplacian_deltas, laplacian_csr};
 use sgl_graph::{EdgeDelta, Graph};
@@ -57,6 +53,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Refresh trigger on iteration blow-up: when a delta-corrected solve's
+/// outer PCG takes more than this factor × the iterations of the first
+/// corrected solve after the last full build, the context schedules a
+/// refactorization (the stale base has drifted too far from the current
+/// operator).
+const REFRESH_ITER_FACTOR: f64 = 4.0;
 
 /// Lifetime counters of a [`SolverContext`]'s revision machinery: how
 /// often it paid for a full factorization versus an incremental
@@ -75,14 +78,14 @@ pub struct RevisionStats {
     /// [`SolverPolicy::max_delta_rank`].
     pub refreshes_on_rank: usize,
     /// Full refreshes forced by corrected-solve PCG iterations exceeding
-    /// [`SolverPolicy::refresh_iter_factor`] × the post-build baseline.
+    /// 4 × the post-build baseline.
     pub refreshes_on_iters: usize,
     /// Full refreshes forced by numerical breakdown of the correction
     /// (singular capacitance, vanishing merged weight, failed base
     /// solve).
     pub refreshes_on_numeric: usize,
     /// Preconditioner downgrades taken by the degradation ladder
-    /// (IC(0)/AMG → tree → Jacobi) after a build breakdown.
+    /// (AMG → tree → Jacobi) after a build breakdown.
     pub precond_downgrades: usize,
 }
 
@@ -141,7 +144,6 @@ impl DeltaState {
 /// [module docs](self) for the incremental revision model).
 pub struct SolverContext {
     policy: SolverPolicy,
-    backend: Box<dyn SolverBackend>,
     /// The handle served to callers: the base itself, or a revision
     /// wrapper around it.
     handle: Option<Arc<dyn SolverHandle>>,
@@ -195,7 +197,6 @@ impl std::fmt::Debug for SolverContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolverContext")
             .field("policy", &self.policy)
-            .field("backend", &self.backend.name())
             .field("cached", &self.handle.is_some())
             .field("stale", &self.stale)
             .field(
@@ -218,10 +219,8 @@ fn note_refresh(kind: &'static str) {
 impl SolverContext {
     /// Create a context for the given policy.
     pub fn new(policy: SolverPolicy) -> Self {
-        let backend = policy.backend();
         SolverContext {
             policy,
-            backend,
             handle: None,
             base: None,
             delta: None,
@@ -296,23 +295,23 @@ impl SolverContext {
     /// first use, served from cache while the [`Graph::revision`] epoch
     /// matches (an `O(1)` check — a mutated graph can never be silently
     /// served a stale handle), and refactored after
-    /// [`invalidate`](SolverContext::invalidate), a pending refresh
-    /// trigger, or under [`ReuseMode::PerCall`]. Revisions absorbed via
+    /// [`invalidate`](SolverContext::invalidate) or a pending refresh
+    /// trigger. Revisions absorbed via
     /// [`apply_deltas`](SolverContext::apply_deltas) /
     /// [`apply_scale`](SolverContext::apply_scale) are served as
     /// corrected wrappers around the cached base factorization.
     ///
     /// # Errors
-    /// Propagates [`SolverBackend::build`] failures; the stale cache is
-    /// dropped either way.
+    /// Propagates [`SolverPolicy::build_handle`] failures that the
+    /// degradation ladder cannot recover; the stale cache is dropped
+    /// either way.
     pub fn handle_for(&mut self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
         let iter_flagged = self.iter_flagged();
         let rebuild = self.handle.is_none()
             || self.stale
             || iter_flagged
             || self.revision == 0
-            || graph.revision() != self.revision
-            || self.policy.reuse == ReuseMode::PerCall;
+            || graph.revision() != self.revision;
         if rebuild {
             if iter_flagged {
                 self.stats.refreshes_on_iters += 1;
@@ -348,12 +347,12 @@ impl SolverContext {
     }
 
     /// Build a handle for `graph`, walking the preconditioner
-    /// degradation ladder on breakdown: a failed IC(0)/AMG build (real,
-    /// or injected via [`FaultKind::IcholBreakdown`]) downgrades to a
+    /// degradation ladder on breakdown: a failed primary build (real, or
+    /// injected via [`FaultKind::PrecondBreakdown`]) downgrades to a
     /// spanning-tree preconditioner, then to Jacobi — each successful
     /// downgrade counted in [`RevisionStats::precond_downgrades`]. The
-    /// dense reference backend deliberately has no ladder (its size-cap
-    /// failure is a configuration contract, not a numerical breakdown).
+    /// dense reference deliberately has no ladder (its size-cap failure
+    /// is a configuration contract, not a numerical breakdown).
     /// When a plan schedules [`FaultKind::PcgStagnation`], the built
     /// handle is wrapped so solves consult the plan.
     fn build_with_degradation(
@@ -363,11 +362,11 @@ impl SolverContext {
         let injected = self
             .faults
             .as_ref()
-            .is_some_and(|p| p.should_fire(FaultKind::IcholBreakdown));
+            .is_some_and(|p| p.should_fire(FaultKind::PrecondBreakdown));
         let primary = if injected {
-            Err(FaultPlan::error_for(FaultKind::IcholBreakdown))
+            Err(FaultPlan::error_for(FaultKind::PrecondBreakdown))
         } else {
-            self.backend.build(graph)
+            self.policy.build_handle(graph)
         };
         let built = match primary {
             Ok(h) => Ok(h),
@@ -375,7 +374,7 @@ impl SolverContext {
                 let mut recovered = Err(err);
                 for &method in downgrade_ladder(self.policy.method) {
                     let fallback = self.policy.clone().with_method(method);
-                    if let Ok(h) = fallback.backend().build(graph) {
+                    if let Ok(h) = fallback.build_handle(graph) {
                         self.stats.precond_downgrades += 1;
                         sgl_trace::count("solver.precond_downgrades", 1);
                         sgl_trace::trace_event!("precond_downgrade", label = method.name());
@@ -406,18 +405,12 @@ impl SolverContext {
     ///
     /// Falls back to scheduling a full refactorization (exactly the
     /// [`invalidate`](SolverContext::invalidate) behavior) whenever the
-    /// incremental path is off (`max_delta_rank == 0`,
-    /// [`ReuseMode::PerCall`]), nothing usable is cached, the
-    /// accumulated rank would exceed the cap, a refresh was already
-    /// pending, or the correction breaks down numerically. Never
-    /// errors on those — the fallback is always available; only base
-    /// `solve_batch` failures with no fallback semantics propagate.
-    ///
-    /// # Errors
-    /// Currently never returns `Err`: every failure path falls back to
-    /// the full-refactorization schedule. The `Result` keeps room for
-    /// future strict modes.
-    pub fn apply_deltas(&mut self, graph: &Graph, deltas: &[EdgeDelta]) -> Result<(), LinalgError> {
+    /// incremental path is off (`max_delta_rank == 0`), nothing usable
+    /// is cached, the accumulated rank would exceed the cap, a refresh
+    /// was already pending, or the correction breaks down numerically
+    /// (including a failed base solve) — the fallback is always
+    /// available, so this never fails.
+    pub fn apply_deltas(&mut self, graph: &Graph, deltas: &[EdgeDelta]) {
         let _sp = sgl_trace::span!("delta_update", count = deltas.len());
         if deltas.is_empty() {
             if self.revision != 0 && graph.revision() != self.revision {
@@ -425,16 +418,15 @@ impl SolverContext {
                 // nothing to absorb, refactor.
                 self.stale = true;
             }
-            return Ok(());
+            return;
         }
         if self.handle.is_none()
             || self.stale
             || self.revision == 0
             || self.policy.max_delta_rank == 0
-            || self.policy.reuse == ReuseMode::PerCall
         {
             self.stale = true;
-            return Ok(());
+            return;
         }
         if self.iter_flagged() {
             self.stats.refreshes_on_iters += 1;
@@ -443,7 +435,7 @@ impl SolverContext {
             // (handle_for would otherwise see the flag again).
             self.delta = None;
             self.stale = true;
-            return Ok(());
+            return;
         }
         let base = Arc::clone(self.base.as_ref().expect("cached handle implies base"));
         let n = base.num_nodes();
@@ -452,7 +444,7 @@ impl SolverContext {
                 self.stale = true;
                 self.stats.refreshes_on_numeric += 1;
                 note_refresh("numeric");
-                return Ok(());
+                return;
             }
         }
 
@@ -482,7 +474,7 @@ impl SolverContext {
                 self.stats.refreshes_on_rank += 1;
                 note_refresh("rank");
                 self.stale = true;
-                return Ok(());
+                return;
             }
             // In Woodbury mode (direct base, no standalone
             // preconditioner) every new incidence column needs its base
@@ -508,7 +500,7 @@ impl SolverContext {
                             self.stats.refreshes_on_numeric += 1;
                             note_refresh("numeric");
                             self.stale = true;
-                            return Ok(());
+                            return;
                         }
                     }
                 };
@@ -567,14 +559,13 @@ impl SolverContext {
                 self.stats.refreshes_on_numeric += 1;
                 note_refresh("numeric");
                 self.stale = true;
-                return Ok(());
+                return;
             }
         };
         self.stats.delta_rank_applied += new_rank_added;
         sgl_trace::count("solver.delta_updates", 1);
         sgl_trace::count("solver.delta_rank_applied", new_rank_added as u64);
         self.finish_wrap(graph, state, lap, correction);
-        Ok(())
     }
 
     /// Pick the correction mode for the accumulated delta state:
@@ -635,7 +626,6 @@ impl SolverContext {
             || self.stale
             || self.revision == 0
             || self.policy.max_delta_rank == 0
-            || self.policy.reuse == ReuseMode::PerCall
         {
             self.stale = true;
             return;
@@ -677,6 +667,7 @@ impl SolverContext {
             Some(c) => c,
             None => {
                 self.stats.refreshes_on_numeric += 1;
+                note_refresh("numeric");
                 self.stale = true;
                 return;
             }
@@ -722,7 +713,6 @@ impl SolverContext {
                 rtol: self.policy.rtol,
                 max_iter: self.policy.max_iter,
                 parallelism: self.policy.parallelism,
-                refresh_iter_factor: self.policy.refresh_iter_factor,
                 baseline_iters: Arc::clone(&state.baseline_iters),
                 needs_refresh: Arc::clone(&state.needs_refresh),
                 stats: StatCell::default(),
@@ -807,7 +797,7 @@ impl SolverContext {
 /// degrade.
 fn downgrade_ladder(method: PolicyMethod) -> &'static [PolicyMethod] {
     match method {
-        PolicyMethod::Auto | PolicyMethod::IcholPcg | PolicyMethod::AmgPcg => {
+        PolicyMethod::Auto | PolicyMethod::AmgPcg => {
             &[PolicyMethod::TreePcg, PolicyMethod::JacobiPcg]
         }
         PolicyMethod::TreePcg | PolicyMethod::TreeDirect => &[PolicyMethod::JacobiPcg],
@@ -867,8 +857,8 @@ enum Correction {
     /// No gap beyond a uniform rescale: `(c·L)⁺ b = L⁺ b / c`, exact,
     /// no outer iteration at all.
     Exact,
-    /// Iterative base: its prepared preconditioner (tree / IC(0) / AMG
-    /// V-cycle / Jacobi) still preconditions the *updated* operator
+    /// Iterative base: its prepared preconditioner (tree / AMG V-cycle /
+    /// Jacobi) still preconditions the *updated* operator
     /// well — run PCG against the new Laplacian with the stale setup.
     /// Zero preparation cost per revision.
     StalePrecond(Arc<dyn Preconditioner + Send + Sync>),
@@ -894,7 +884,6 @@ struct RevisionedHandle {
     rtol: f64,
     max_iter: usize,
     parallelism: usize,
-    refresh_iter_factor: f64,
     baseline_iters: Arc<AtomicUsize>,
     needs_refresh: Arc<AtomicBool>,
     stats: StatCell,
@@ -937,8 +926,8 @@ impl RevisionedHandle {
     }
 
     /// Refresh policy: the first corrected solve after a build sets the
-    /// baseline; later solves exceeding `refresh_iter_factor ×` baseline
-    /// flag the context for a refactorization.
+    /// baseline; later solves exceeding [`REFRESH_ITER_FACTOR`] ×
+    /// baseline flag the context for a refactorization.
     ///
     /// Called only from the serial accounting paths (`solve`, and
     /// `solve_batch` *after* the join, in RHS order) — never from inside
@@ -952,9 +941,7 @@ impl RevisionedHandle {
         let baseline = self.baseline_iters.load(Ordering::Relaxed);
         if baseline == 0 {
             self.baseline_iters.store(iters, Ordering::Relaxed);
-        } else if self.refresh_iter_factor >= 1.0
-            && iters as f64 > self.refresh_iter_factor * baseline as f64
-        {
+        } else if iters as f64 > REFRESH_ITER_FACTOR * baseline as f64 {
             self.needs_refresh.store(true, Ordering::Relaxed);
         }
     }
@@ -1057,7 +1044,7 @@ impl SolverHandle for RevisionedHandle {
             self.stats.record_batch();
         }
         let n = self.num_nodes;
-        // Same fan-out contract as the backend handles: independent
+        // Same fan-out contract as the policy-built handles: independent
         // per-RHS solves over per-worker scratch, results and stats in
         // RHS order (bit-identical at any thread count).
         let solved: Vec<(Vec<f64>, (usize, f64))> =
@@ -1137,17 +1124,6 @@ mod tests {
         let total = ctx.cumulative_stats();
         assert_eq!(total.solves, 2, "retired handle's solves must be kept");
         assert!(total.last_relative_residual >= 0.0);
-    }
-
-    #[test]
-    fn per_call_always_rebuilds() {
-        let g = grid2d(4, 4);
-        let policy = SolverPolicy::default().with_reuse(ReuseMode::PerCall);
-        let mut ctx = SolverContext::new(policy);
-        let a = ctx.handle_for(&g).unwrap();
-        let b = ctx.handle_for(&g).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(ctx.handles_built(), 2);
     }
 
     #[test]
@@ -1240,7 +1216,7 @@ mod tests {
         let e0 = g.edge(0);
         g.set_weight(0, e0.weight * 2.0);
         deltas.push(EdgeDelta::reweight(e0.u, e0.v, e0.weight, e0.weight * 2.0));
-        ctx.apply_deltas(&g, &deltas).unwrap();
+        ctx.apply_deltas(&g, &deltas);
         assert_eq!(ctx.handles_built(), 1, "delta batch must not refactor");
         assert_eq!(ctx.delta_rank(), 4);
         let h = ctx.handle_for(&g).unwrap();
@@ -1272,7 +1248,7 @@ mod tests {
                 g.add_edge(u, v, w);
                 deltas.push(EdgeDelta::insert(u, v, w));
             }
-            ctx.apply_deltas(&g, &deltas).unwrap();
+            ctx.apply_deltas(&g, &deltas);
             assert_matches_fresh(&mut ctx, &g, 100 + round, 1e-8);
         }
         assert_eq!(ctx.handles_built(), 1, "all four batches absorbed");
@@ -1290,14 +1266,12 @@ mod tests {
         ctx.apply_deltas(
             &g,
             &[EdgeDelta::insert(0, 8, 1.0), EdgeDelta::insert(1, 9, 1.0)],
-        )
-        .unwrap();
+        );
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 1);
         // One more distinct edge exceeds the cap of 2: full refactor.
         g.add_edge(2, 10, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 10, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 10, 1.0)]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
         assert_eq!(ctx.revision_stats().refreshes_on_rank, 1);
@@ -1311,8 +1285,7 @@ mod tests {
         let mut ctx = SolverContext::new(SolverPolicy::default().with_max_delta_rank(0));
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 7, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2, "cap 0 must always refactor");
         assert_eq!(ctx.revision_stats().delta_updates, 0);
@@ -1343,16 +1316,14 @@ mod tests {
         let mut ctx = SolverContext::new(SolverPolicy::default());
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 14, 0.7);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 14, 0.7)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 14, 0.7)]);
         g.scale_weights(2.5);
         ctx.apply_scale(&g, 2.5);
         assert_eq!(ctx.handles_built(), 1);
         assert_matches_fresh(&mut ctx, &g, 5, 1e-8);
         // And a delta on top of the scale still composes.
         g.add_edge(2, 20, 1.1);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 20, 1.1)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(2, 20, 1.1)]);
         assert_eq!(ctx.handles_built(), 1);
         assert_matches_fresh(&mut ctx, &g, 6, 1e-8);
     }
@@ -1363,8 +1334,7 @@ mod tests {
         let mut ctx = SolverContext::new(SolverPolicy::default());
         // No handle yet: apply_deltas is a no-op schedule.
         g.add_edge(0, 7, 1.0);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 7, 1.0)]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 1);
         assert_eq!(ctx.revision_stats().delta_updates, 0);
@@ -1378,7 +1348,7 @@ mod tests {
         g.add_edge(0, 7, 1.0);
         // Caller reports "no delta" for a moved graph: the context must
         // not pretend the cached handle still matches.
-        ctx.apply_deltas(&g, &[]).unwrap();
+        ctx.apply_deltas(&g, &[]);
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
     }
@@ -1389,7 +1359,6 @@ mod tests {
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
             PolicyMethod::JacobiPcg,
-            PolicyMethod::IcholPcg,
             PolicyMethod::DenseCholesky,
         ] {
             let mut g = grid2d(6, 6);
@@ -1400,8 +1369,7 @@ mod tests {
             ctx.apply_deltas(
                 &g,
                 &[EdgeDelta::insert(0, 13, 0.9), EdgeDelta::insert(7, 29, 1.4)],
-            )
-            .unwrap();
+            );
             assert_eq!(ctx.handles_built(), 1, "{method:?}");
             assert_matches_fresh(&mut ctx, &g, 11, 1e-7);
         }
@@ -1410,9 +1378,8 @@ mod tests {
     #[test]
     fn injected_breakdown_walks_the_downgrade_ladder() {
         let g = grid2d(5, 5);
-        let mut ctx =
-            SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::IcholPcg));
-        let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::IcholBreakdown, 0));
+        let mut ctx = SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::AmgPcg));
+        let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::PrecondBreakdown, 0));
         ctx.set_fault_plan(Arc::clone(&plan));
         let h = ctx.handle_for(&g).unwrap();
         assert_eq!(h.method_name(), "tree-pcg", "first rung of the ladder");
@@ -1423,7 +1390,7 @@ mod tests {
         // The next rebuild is past the trigger: back to the primary.
         ctx.invalidate();
         let h2 = ctx.handle_for(&g).unwrap();
-        assert_eq!(h2.method_name(), "ichol-pcg");
+        assert_eq!(h2.method_name(), "amg-pcg");
         assert_eq!(ctx.revision_stats().precond_downgrades, 1);
     }
 
@@ -1452,14 +1419,48 @@ mod tests {
         ctx.set_fault_plan(Arc::clone(&plan));
         ctx.handle_for(&g).unwrap();
         g.add_edge(0, 10, 0.5);
-        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 10, 0.5)])
-            .unwrap();
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 10, 0.5)]);
         assert_eq!(plan.injected_count(), 1);
         assert_eq!(ctx.revision_stats().refreshes_on_numeric, 1);
         // Recovery: the next handle is a clean refactorization.
         ctx.handle_for(&g).unwrap();
         assert_eq!(ctx.handles_built(), 2);
         assert_matches_fresh(&mut ctx, &g, 22, 1e-8);
+    }
+
+    #[test]
+    fn woodbury_singularity_in_apply_scale_is_traced_as_a_refresh() {
+        // The rescale's correction breaks down (second Woodbury
+        // opportunity): the refresh must reach the `solver.refreshes`
+        // counter and the `handle_refresh` event like every other one.
+        let _guard = sgl_trace::test_guard();
+        let n = 20;
+        let mut g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1, 1.0)));
+        let mut ctx =
+            SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::TreeDirect));
+        let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::WoodburySingular, 1));
+        ctx.set_fault_plan(Arc::clone(&plan));
+        ctx.handle_for(&g).unwrap();
+        g.add_edge(0, 10, 0.5);
+        ctx.apply_deltas(&g, &[EdgeDelta::insert(0, 10, 0.5)]);
+        assert_eq!(plan.injected_count(), 0);
+        g.scale_weights(2.0);
+        sgl_trace::clear();
+        sgl_trace::enable();
+        let before = sgl_trace::counter("solver.refreshes").get();
+        ctx.apply_scale(&g, 2.0);
+        let refreshes = sgl_trace::counter("solver.refreshes").get() - before;
+        let events = sgl_trace::take_events();
+        sgl_trace::disable();
+        assert_eq!(plan.injected_count(), 1);
+        assert_eq!(ctx.revision_stats().refreshes_on_numeric, 1);
+        assert_eq!(refreshes, 1, "the numeric refresh escaped the counter");
+        assert!(events.iter().any(
+            |e| e.name == "handle_refresh" && e.payload == sgl_trace::Payload::Label("numeric")
+        ));
+        ctx.handle_for(&g).unwrap();
+        assert_eq!(ctx.handles_built(), 2);
+        assert_matches_fresh(&mut ctx, &g, 23, 1e-8);
     }
 
     #[test]
@@ -1477,8 +1478,7 @@ mod tests {
         ctx.apply_deltas(
             &g,
             &[EdgeDelta::insert(0, 15, 0.5), EdgeDelta::insert(7, 22, 1.0)],
-        )
-        .unwrap();
+        );
         let h = ctx.handle_for(&g).unwrap();
         let b = mean_zero_rhs(n, 9);
         h.solve(&b).unwrap();

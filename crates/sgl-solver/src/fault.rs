@@ -29,17 +29,18 @@ use std::sync::Mutex;
 /// The failure modes a [`FaultPlan`] can force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// IC(0) (or any preconditioner) factorization breakdown at handle
-    /// build time. Recovery: the downgrade ladder in
-    /// [`SolverContext`](crate::SolverContext) (IC(0) → tree → Jacobi).
-    IcholBreakdown,
+    /// Breakdown of the primary handle build (any method). Recovery:
+    /// the downgrade ladder in [`SolverContext`](crate::SolverContext)
+    /// (AMG → tree → Jacobi).
+    PrecondBreakdown,
     /// PCG stagnation / iteration-budget exhaustion on a solve.
     /// Recovery: the session invalidates its solver state and retries
     /// on a fresh factorization.
     PcgStagnation,
-    /// Singular Woodbury capacitance during a low-rank delta update.
-    /// Recovery: the context falls back to a stale-preconditioner
-    /// correction and schedules a refresh (`refreshes_on_numeric`).
+    /// Singular Woodbury capacitance during a low-rank delta update or
+    /// rescale over a direct base. Recovery: the context drops the
+    /// correction and refactors on the next request (counted in
+    /// `refreshes_on_numeric`).
     WoodburySingular,
     /// A corrupted (NaN-poisoned) query request reaching `sgl-serve`.
     /// Recovery: request validation rejects it as a `BadQuery` without
@@ -55,7 +56,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Every kind, in counter order.
     pub const ALL: [FaultKind; 5] = [
-        FaultKind::IcholBreakdown,
+        FaultKind::PrecondBreakdown,
         FaultKind::PcgStagnation,
         FaultKind::WoodburySingular,
         FaultKind::PoisonQuery,
@@ -65,7 +66,7 @@ impl FaultKind {
     /// Stable kebab-case label (logs, bench JSON).
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultKind::IcholBreakdown => "ichol-breakdown",
+            FaultKind::PrecondBreakdown => "precond-breakdown",
             FaultKind::PcgStagnation => "pcg-stagnation",
             FaultKind::WoodburySingular => "woodbury-singular",
             FaultKind::PoisonQuery => "poison-query",
@@ -75,7 +76,7 @@ impl FaultKind {
 
     fn index(self) -> usize {
         match self {
-            FaultKind::IcholBreakdown => 0,
+            FaultKind::PrecondBreakdown => 0,
             FaultKind::PcgStagnation => 1,
             FaultKind::WoodburySingular => 2,
             FaultKind::PoisonQuery => 3,
@@ -122,13 +123,13 @@ impl FaultPlan {
     }
 
     /// The standard seeded schedule used by the bench fault arm and the
-    /// CI smoke job: one early IC(0) breakdown, one PCG stagnation, one
+    /// CI smoke job: one early build breakdown, one PCG stagnation, one
     /// Woodbury singularity, one poisoned query, and one writer panic,
     /// each at a seed-derived early opportunity.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
         Self::new()
-            .with_fault(FaultKind::IcholBreakdown, rng.below(2))
+            .with_fault(FaultKind::PrecondBreakdown, rng.below(2))
             .with_fault(FaultKind::PcgStagnation, 1 + rng.below(4))
             .with_fault(FaultKind::WoodburySingular, rng.below(2))
             .with_fault(FaultKind::PoisonQuery, rng.below(3))
@@ -159,7 +160,7 @@ impl FaultPlan {
     /// mimic an exhausted iteration budget.
     pub fn error_for(kind: FaultKind) -> LinalgError {
         match kind {
-            FaultKind::IcholBreakdown => LinalgError::NotPositiveDefinite { pivot: usize::MAX },
+            FaultKind::PrecondBreakdown => LinalgError::NotPositiveDefinite { pivot: usize::MAX },
             _ => LinalgError::NotConverged {
                 method: "fault-injection",
                 iterations: 0,
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn injected_errors_match_failure_modes() {
         assert!(matches!(
-            FaultPlan::error_for(FaultKind::IcholBreakdown),
+            FaultPlan::error_for(FaultKind::PrecondBreakdown),
             LinalgError::NotPositiveDefinite { .. }
         ));
         assert!(matches!(

@@ -12,32 +12,33 @@
 //! # The solve layer (what callers use)
 //!
 //! * [`SolverPolicy`] — plain-data description of *how* to solve:
-//!   method, tolerance, iteration cap, handle-reuse mode. Threads
+//!   method ([`PolicyMethod`]), tolerance, iteration cap. Threads
 //!   through configuration (e.g. `SglConfig`) so every solve is
-//!   user-controllable end to end.
-//! * [`SolverBackend`] — object-safe factory: build-for-graph. Two
-//!   implementations: [`IterativeBackend`] (the PCG/AMG/tree facade)
-//!   and [`DenseCholeskyBackend`] (exact small-N reference that factors
-//!   `L + (1/N)·11ᵀ` once).
+//!   user-controllable end to end, and
+//!   [`build_handle`](SolverPolicy::build_handle) is the one way to get
+//!   a solver: it picks the method (`Auto` resolves from the graph) and
+//!   prepares it — exact tree solve, tree-/AMG-/Jacobi-preconditioned
+//!   PCG, or the exact small-N dense Cholesky reference that factors
+//!   `L + (1/N)·11ᵀ` once.
 //! * [`SolverHandle`] — a prepared solver for one fixed graph:
 //!   [`solve`](SolverHandle::solve), multi-RHS
 //!   [`solve_batch`](SolverHandle::solve_batch), and cumulative
 //!   [`stats`](SolverHandle::stats). Shared across stages via `Arc`.
 //! * [`SolverContext`] — a session-owned, revision-tracked cache: one
-//!   handle per learned-graph revision, invalidated on edge insertion.
+//!   handle per learned-graph revision, with low-rank edge deltas
+//!   absorbed incrementally and a degradation ladder on build
+//!   breakdown.
 //!
-//! # The kernels (what the backends are built from)
+//! # The kernels (what the handles are built from)
 //!
 //! * [`tree_solver`] — exact `O(N)` elimination on spanning trees;
-//! * [`preconditioner`] / [`ichol`] — Jacobi, symmetric Gauss–Seidel,
-//!   IC(0) and spanning-tree preconditioners (support-graph
-//!   preconditioning: the learned graph *is* a tree plus a few off-tree
-//!   edges, which the tree preconditioner absorbs exactly through the
-//!   Woodbury identity when they are few enough);
+//! * [`preconditioner`] — Jacobi, symmetric Gauss–Seidel and
+//!   spanning-tree preconditioners (support-graph preconditioning: the
+//!   learned graph *is* a tree plus a few off-tree edges, which the tree
+//!   preconditioner absorbs exactly through the Woodbury identity when
+//!   they are few enough);
 //! * [`amg`] — unsmoothed-aggregation algebraic multigrid whose Galerkin
-//!   coarse operators are literal graph contractions;
-//! * [`LaplacianSolver`] — the method-picking facade running projected
-//!   PCG to a requested tolerance ([`IterativeBackend`] wraps it).
+//!   coarse operators are literal graph contractions.
 //!
 //! # Example
 //!
@@ -46,7 +47,7 @@
 //! use sgl_solver::{PolicyMethod, SolverPolicy};
 //!
 //! let g = Graph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]);
-//! // Policy-driven: validate, pick a backend, build a reusable handle.
+//! // Policy-driven: validate, pick a method, build a reusable handle.
 //! let handle = SolverPolicy::default()
 //!     .with_method(PolicyMethod::Auto)
 //!     .build_handle(&g)
@@ -67,21 +68,13 @@ pub mod amg;
 pub mod backend;
 pub mod context;
 pub mod fault;
-pub mod ichol;
-pub mod laplacian_solver;
+mod laplacian_solver;
 pub mod preconditioner;
 pub mod tree_solver;
 
-pub use amg::{AmgHierarchy, AmgOptions};
-pub use backend::{
-    DenseCholeskyBackend, IterativeBackend, PolicyMethod, ReuseMode, SolveStats, SolverBackend,
-    SolverHandle, SolverPolicy,
-};
+pub use amg::AmgHierarchy;
+pub use backend::{PolicyMethod, SolveStats, SolverHandle, SolverPolicy};
 pub use context::{RevisionStats, SolverContext};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use ichol::IncompleteCholesky;
-pub use laplacian_solver::{
-    LaplacianSolver, SolveScratch, SolverMethod, SolverOptions, SolverStats,
-};
 pub use preconditioner::{GaussSeidelPreconditioner, TreePreconditioner};
 pub use tree_solver::TreeSolver;

@@ -235,7 +235,7 @@ impl Preconditioner for GaussSeidelPreconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DenseCholeskyBackend, SolverBackend};
+    use crate::backend::{PolicyMethod, SolverPolicy};
     use sgl_graph::laplacian::laplacian_csr;
     use sgl_linalg::cg::{pcg_solve, CgOptions};
     use sgl_linalg::{ProjectedOperator, Rng};
@@ -307,7 +307,10 @@ mod tests {
         let m = TreePreconditioner::from_graph(&g);
         assert_eq!(m.off_tree.as_ref().map(|c| c.edges.len()), Some(20));
 
-        let dense = DenseCholeskyBackend::default().build(&g).unwrap();
+        let dense = SolverPolicy::default()
+            .with_method(PolicyMethod::DenseCholesky)
+            .build_handle(&g)
+            .unwrap();
         let l = laplacian_csr(&g);
         let opts = CgOptions {
             rtol: 1e-10,

@@ -11,10 +11,10 @@
 
 use sgl::prelude::*;
 use sgl_core::{
-    compare_spectra, pairwise_effective_resistances, sample_node_pairs, SpectrumMethod,
+    compare_spectra, pairwise_effective_resistances, sample_node_pairs, SolverPolicy,
+    SpectrumMethod,
 };
 use sgl_linalg::vecops;
-use sgl_solver::{LaplacianSolver, SolverOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 40×40 power-grid-like network at G2_circuit density (1.92).
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Held-out voltage prediction: excite both networks with FRESH
     // currents and compare responses.
     let holdout = Measurements::generate(&truth, 10, 777)?;
-    let model_solver = LaplacianSolver::new(&result.graph, SolverOptions::default())?;
+    let model_solver = SolverPolicy::default().build_handle(&result.graph)?;
     let mut rel_err_sum = 0.0;
     for i in 0..holdout.num_measurements() {
         let y = holdout.currents().expect("currents").column(i);

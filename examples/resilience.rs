@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Act 2: faulted learning --------------------------------------
     let plan = Arc::new(
         FaultPlan::new()
-            .with_fault(FaultKind::IcholBreakdown, 0)
+            .with_fault(FaultKind::PrecondBreakdown, 0)
             .with_fault(FaultKind::PcgStagnation, 0)
             .with_fault(FaultKind::WoodburySingular, 0),
     );

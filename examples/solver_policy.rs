@@ -1,5 +1,5 @@
 //! The unified solver-context API: choose how every Laplacian solve in
-//! the pipeline runs — method, tolerance, reuse — from configuration,
+//! the pipeline runs — method, tolerance, iteration cap — from configuration,
 //! and go entirely solver-free with the SF-SGL-style spectral sketch.
 //!
 //! Run with: `cargo run --release --example solver_policy`

@@ -227,7 +227,6 @@ proptest! {
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
             PolicyMethod::JacobiPcg,
-            PolicyMethod::IcholPcg,
         ] {
             let h = SolverPolicy::default()
                 .with_method(method)

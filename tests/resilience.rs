@@ -19,7 +19,7 @@ use sgl_linalg::DenseMatrix;
 fn solver_faults() -> Arc<FaultPlan> {
     Arc::new(
         FaultPlan::new()
-            .with_fault(FaultKind::IcholBreakdown, 0)
+            .with_fault(FaultKind::PrecondBreakdown, 0)
             .with_fault(FaultKind::PcgStagnation, 0)
             .with_fault(FaultKind::WoodburySingular, 0),
     )

@@ -1,4 +1,4 @@
-//! Cross-crate consistency: all Laplacian solver backends and both
+//! Cross-crate consistency: all Laplacian solver methods and both
 //! eigensolver families must agree with each other and with dense
 //! reference computations.
 
@@ -6,7 +6,7 @@ use sgl_core::{smallest_nonzero_eigenvalues, SpectrumMethod};
 use sgl_graph::laplacian::laplacian_csr;
 use sgl_graph::Graph;
 use sgl_linalg::{vecops, Rng, SymEig};
-use sgl_solver::{LaplacianSolver, SolverMethod, SolverOptions};
+use sgl_solver::{PolicyMethod, SolverPolicy};
 
 fn mean_zero_rhs(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = Rng::seed_from_u64(seed);
@@ -26,25 +26,21 @@ fn all_solver_backends_agree_on_meshes_and_circuits() {
         let b = mean_zero_rhs(g.num_nodes(), ci as u64);
         let mut solutions = Vec::new();
         for m in [
-            SolverMethod::TreePcg,
-            SolverMethod::AmgPcg,
-            SolverMethod::JacobiPcg,
+            PolicyMethod::TreePcg,
+            PolicyMethod::AmgPcg,
+            PolicyMethod::JacobiPcg,
         ] {
-            let s = LaplacianSolver::new(
-                g,
-                SolverOptions {
-                    method: m,
-                    ..SolverOptions::default()
-                },
-            )
-            .unwrap();
+            let s = SolverPolicy::default()
+                .with_method(m)
+                .build_handle(g)
+                .unwrap();
             solutions.push(s.solve(&b).unwrap());
         }
         for w in solutions.windows(2) {
             let d = vecops::sub(&w[0], &w[1]);
             assert!(
                 vecops::norm2(&d) / vecops::norm2(&w[0]) < 1e-6,
-                "case {ci}: backends disagree"
+                "case {ci}: methods disagree"
             );
         }
     }
@@ -55,7 +51,7 @@ fn solver_matches_dense_pseudoinverse() {
     let g = sgl_datasets::grid2d(6, 6);
     let n = g.num_nodes();
     let b = mean_zero_rhs(n, 7);
-    let solver = LaplacianSolver::new(&g, SolverOptions::default()).unwrap();
+    let solver = SolverPolicy::default().build_handle(&g).unwrap();
     let x = solver.solve(&b).unwrap();
     // Dense reference via eigendecomposition pseudoinverse.
     let eig = SymEig::compute(&laplacian_csr(&g).to_dense()).unwrap();
@@ -93,7 +89,7 @@ fn eigenvalue_methods_agree_with_dense() {
 
 #[test]
 fn weighted_graphs_are_handled() {
-    // Heavily heterogeneous weights (6 decades) must not break any backend.
+    // Heavily heterogeneous weights (6 decades) must not break any method.
     let mut g = Graph::new(30);
     let mut rng = Rng::seed_from_u64(5);
     for i in 0..29 {
@@ -108,15 +104,11 @@ fn weighted_graphs_are_handled() {
     }
     let b = mean_zero_rhs(30, 6);
     let l = laplacian_csr(&g);
-    for m in [SolverMethod::TreePcg, SolverMethod::AmgPcg] {
-        let s = LaplacianSolver::new(
-            &g,
-            SolverOptions {
-                method: m,
-                ..SolverOptions::default()
-            },
-        )
-        .unwrap();
+    for m in [PolicyMethod::TreePcg, PolicyMethod::AmgPcg] {
+        let s = SolverPolicy::default()
+            .with_method(m)
+            .build_handle(&g)
+            .unwrap();
         let x = s.solve(&b).unwrap();
         let lx = l.matvec(&x);
         let mut r = vecops::sub(&b, &lx);
