@@ -1,6 +1,6 @@
 //! End-to-end learning-loop benchmark across the parallel execution
-//! layer and the incremental solver-revision path: the full SGL
-//! pipeline (kNN build → densification loop → edge scaling) on several
+//! layer and the per-revision solver cache: the full SGL pipeline (kNN
+//! build → densification loop → edge scaling) on several
 //! scenarios, at 1 worker thread and at N, emitting
 //! `target/repro/BENCH_learn.json` — the perf trajectory tracked across
 //! PRs via the committed snapshot `BENCH_learn.json` at the repo root.
@@ -16,8 +16,8 @@
 //! effective resistances after each iteration — the telemetry workload
 //! (leverage scores, convergence diagnostics) that makes the solve
 //! layer's per-iteration cost visible: each probe needs a solver handle
-//! for the *current* revision, which the incremental-revision path
-//! serves from the cached factorization instead of refactoring.
+//! for the *current* revision, which the solver context builds once per
+//! iteration and shares with the other stages.
 //!
 //! Besides the timings the bench *asserts*:
 //! * the parallel determinism contract — the graph learned at N threads
@@ -27,11 +27,6 @@
 //!   under a generous iteration cap), and in `--quick` mode every
 //!   scenario must land on a genuine stop verdict (`converged` or
 //!   `candidates-exhausted`), never the iteration cap;
-//! * the revision contract — on the grid scenario, the default policy
-//!   holds full factorizations to the refresh cadence
-//!   (`handles_built ≤ ⌈iters/4⌉` vs. one-per-iteration for the
-//!   always-refactor baseline) while learning the same graph (identical
-//!   edge set, weights within solver-tolerance grade);
 //! * the strategy contract — the solver-free (SF-SGL) arm finishes a
 //!   full learn with `solver_solves == 0` and `handles_built == 0`,
 //!   stays bit-identical across thread counts, and on the grid scenario
@@ -40,9 +35,9 @@
 //! * the multilevel hierarchy is bit-identical across thread counts.
 //! * the resilience contract — an interrupt/checkpoint/restore run
 //!   continues bit-identical to the uninterrupted one, and a run under
-//!   a seeded [`FaultPlan`] (preconditioner breakdown, PCG stagnation,
-//!   Woodbury singularity) still converges to the fault-free graph
-//!   (identical edge set, weights within 1e-6).
+//!   a seeded [`FaultPlan`] (preconditioner breakdown, PCG stagnation)
+//!   still converges to the fault-free graph (identical edge set,
+//!   weights within 1e-6).
 //!
 //! Usage: `bench_learn [--threads N] [--m 30] [--iters 60] [--tol 1e-4]
 //! [--quick] [--ml-side S] [--fault-seed S] [--schema-against PATH]`
@@ -155,89 +150,6 @@ fn assert_identical(name: &str, a: &Run, b: &Run) {
             (eb.u, eb.v, eb.weight),
             "{name}: learned graphs diverge across thread counts"
         );
-    }
-}
-
-/// Incremental-revision A/B on one scenario: the configured policy
-/// versus `max_delta_rank = 0` (always refactor — the pre-revision
-/// behavior and the PR 4 baseline). Asserts the revision acceptance
-/// contract: refresh cadence and learned-graph equivalence. When
-/// `expect_faster` (the setup-dominated direct-solver arm) the
-/// incremental wall-clock must also beat the baseline outright.
-struct IncrementalAb {
-    name: &'static str,
-    nodes: usize,
-    baseline: Run,
-    incremental: Run,
-    max_weight_rel_diff: f64,
-}
-
-fn run_incremental_ab(
-    scenario: &Scenario,
-    config: &SglConfig,
-    name: &'static str,
-    expect_faster: bool,
-) -> IncrementalAb {
-    let mut baseline_cfg = config.clone();
-    baseline_cfg.solver.max_delta_rank = 0;
-    let baseline = run_learn(scenario, &baseline_cfg, 1);
-    let incremental = run_learn(scenario, config, 1);
-
-    // Same learned topology, weights to solver-tolerance grade.
-    assert_eq!(
-        baseline.result.graph.num_edges(),
-        incremental.result.graph.num_edges(),
-        "{name}: incremental revisions changed the learned edge count"
-    );
-    let mut max_rel = 0.0f64;
-    for (ea, eb) in baseline
-        .result
-        .graph
-        .edges()
-        .iter()
-        .zip(incremental.result.graph.edges())
-    {
-        assert_eq!(
-            (ea.u, ea.v),
-            (eb.u, eb.v),
-            "{name}: incremental revisions changed the learned topology"
-        );
-        max_rel = max_rel.max((ea.weight - eb.weight).abs() / ea.weight.max(1e-300));
-    }
-    assert!(
-        max_rel < 1e-6,
-        "{name}: weights drifted {max_rel:.3e} past solver-tolerance grade"
-    );
-    // The refresh cadence: at most ⌈iters/4⌉ full factorizations with
-    // the default policy, versus the baseline's one-per-iteration.
-    let cap = incremental.iterations.div_ceil(4);
-    assert!(
-        incremental.revisions.handles_built <= cap,
-        "{name}: {} full factorizations over {} iterations (cadence cap {cap})",
-        incremental.revisions.handles_built,
-        incremental.iterations
-    );
-    assert!(
-        baseline.revisions.handles_built >= baseline.iterations,
-        "{name}: baseline should refactor every iteration ({} builds, {} iters)",
-        baseline.revisions.handles_built,
-        baseline.iterations
-    );
-    if expect_faster {
-        assert!(
-            incremental.wall_s < baseline.wall_s,
-            "{name}: incremental revisions should beat per-iteration refactoring \
-             ({:.3}s vs {:.3}s)",
-            incremental.wall_s,
-            baseline.wall_s
-        );
-    }
-    IncrementalAb {
-        name,
-        nodes: scenario.nodes,
-        baseline,
-        incremental,
-        max_weight_rel_diff: max_rel,
     }
 }
 
@@ -415,11 +327,6 @@ fn run_multilevel_bench(side: usize, threads: usize, m: usize) -> MultilevelBenc
     }
 }
 
-/// Total forced refreshes of a revision counter set.
-fn refreshes(r: &RevisionStats) -> usize {
-    r.refreshes_on_rank + r.refreshes_on_iters + r.refreshes_on_numeric
-}
-
 /// The resilience arm: interrupt/checkpoint/restore plus a seeded-fault
 /// rerun, both on the grid scenario against its fault-free serial row.
 struct ResilienceBench {
@@ -492,7 +399,7 @@ fn run_resilience_bench(
 
     // --- Seeded-fault run ---------------------------------------------
     // The standard seeded schedule fires on the probe workload's solver
-    // traffic (handle builds, solves, delta corrections). Probes that a
+    // traffic (handle builds, solves). Probes that a
     // fault reaches are dropped and counted; learning itself recovers
     // through the ladder and must land on the fault-free graph.
     let plan = std::sync::Arc::new(FaultPlan::seeded(fault_seed));
@@ -802,7 +709,6 @@ fn main() {
         "edges",
         "pcg_iters",
         "handles",
-        "delta_upd",
     ]);
     let mut rows = Vec::new();
     for sc in &scenarios {
@@ -853,7 +759,6 @@ fn main() {
                 run.edges.to_string(),
                 run.solver.iterations.to_string(),
                 run.revisions.handles_built.to_string(),
-                run.revisions.delta_updates.to_string(),
             ]);
             rows.push((sc.name, sc.nodes, run));
         }
@@ -883,59 +788,6 @@ fn main() {
             ab.eig_corr
         );
         strategy_abs.push(ab);
-    }
-
-    // Incremental-revision A/Bs against the always-refactor baseline
-    // (max_delta_rank = 0 — the pre-revision, PR 4 behavior). These run
-    // on a fixed iteration budget (tol 0) so the baseline and the
-    // incremental arm do identical work — the cadence and equivalence
-    // contracts compare per-iteration behavior, not stopping decisions.
-    //
-    // * `grid-auto`  — the main grid scenario under the default (Auto →
-    //   AMG) policy: asserts the refresh cadence and learned-graph
-    //   equivalence. Setup for the iterative preconditioners on
-    //   ultra-sparse graphs is cheap, so wall-clock is expected to be
-    //   roughly neutral here; the contract is the cadence.
-    // * `grid-dense` — a dense-Cholesky-sized grid under the exact
-    //   direct policy, the setup-dominated regime the Woodbury path
-    //   targets (`O(N³)` refactor vs. `O(N²)` corrected solves): here
-    //   the incremental path must also win wall-clock outright.
-    let budget_iters = if quick { 4 } else { 6 };
-    let fixed_budget = SglConfig::default()
-        .with_tol(0.0)
-        .with_max_iterations(budget_iters)
-        .with_scale_edges(true);
-    let ab_auto = run_incremental_ab(&scenarios[0], &fixed_budget, "grid-auto", false);
-    let dense_scenario = {
-        let side = if quick { 20 } else { 48 };
-        let truth = sgl_datasets::grid2d(side, side);
-        Scenario {
-            name: "grid-dense",
-            nodes: truth.num_nodes(),
-            meas: Measurements::generate(&truth, m, 19).expect("dense-grid measurements"),
-        }
-    };
-    let mut dense_cfg = fixed_budget.clone();
-    dense_cfg.solver.method = sgl_core::PolicyMethod::DenseCholesky;
-    dense_cfg.solver.dense_max_nodes = 0;
-    let ab_dense = run_incremental_ab(&dense_scenario, &dense_cfg, "grid-dense", true);
-    let abs = [ab_auto, ab_dense];
-    for ab in &abs {
-        println!(
-            "\nincremental revisions ({}, {} nodes, 1 thread): baseline {:.3}s / {} \
-             factorizations → incremental {:.3}s / {} factorizations, {} delta updates \
-             (rank {}), {} forced refreshes, max weight drift {:.2e} ✓",
-            ab.name,
-            ab.nodes,
-            ab.baseline.wall_s,
-            ab.baseline.revisions.handles_built,
-            ab.incremental.wall_s,
-            ab.incremental.revisions.handles_built,
-            ab.incremental.revisions.delta_updates,
-            ab.incremental.revisions.delta_rank_applied,
-            refreshes(&ab.incremental.revisions),
-            ab.max_weight_rel_diff,
-        );
     }
 
     let ml = run_multilevel_bench(ml_side, threads, m);
@@ -1008,8 +860,7 @@ fn main() {
              \"wall_s\": {:.9}, \"speedup_vs_serial\": {:.4}, \"iterations\": {}, \
              \"edges\": {}, \"converged\": {}, \"stop_reason\": \"{}\", \"solver_solves\": {}, \
              \"solver_pcg_iterations\": {}, \"solver_last_residual\": {:.3e}, \
-             \"handles_built\": {}, \"delta_updates\": {}, \"delta_rank\": {}, \
-             \"refreshes\": {}}}{}\n",
+             \"handles_built\": {}}}{}\n",
             name,
             nodes,
             run.threads,
@@ -1023,9 +874,6 @@ fn main() {
             run.solver.iterations,
             run.solver.last_relative_residual,
             run.revisions.handles_built,
-            run.revisions.delta_updates,
-            run.revisions.delta_rank_applied,
-            refreshes(&run.revisions),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -1053,32 +901,6 @@ fn main() {
             if i + 1 < strategy_abs.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n  \"incremental\": [\n");
-    for (i, ab) in abs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"nodes\": {}, \"iterations\": {}, \
-             \"wall_s_baseline\": {:.9}, \"wall_s_incremental\": {:.9}, \
-             \"handles_built_baseline\": {}, \"handles_built_incremental\": {}, \
-             \"delta_updates_incremental\": {}, \"delta_rank_incremental\": {}, \
-             \"refreshes_incremental\": {}, \"pcg_iterations_baseline\": {}, \
-             \"pcg_iterations_incremental\": {}, \"max_weight_rel_diff\": {}, \
-             \"graphs_equivalent\": true}}{}\n",
-            ab.name,
-            ab.nodes,
-            ab.incremental.iterations,
-            ab.baseline.wall_s,
-            ab.incremental.wall_s,
-            ab.baseline.revisions.handles_built,
-            ab.incremental.revisions.handles_built,
-            ab.incremental.revisions.delta_updates,
-            ab.incremental.revisions.delta_rank_applied,
-            refreshes(&ab.incremental.revisions),
-            ab.baseline.solver.iterations,
-            ab.incremental.solver.iterations,
-            sci(ab.max_weight_rel_diff),
-            if i + 1 < abs.len() { "," } else { "" }
-        ));
-    }
     json.push_str("  ],\n");
     let levels: Vec<String> = ml.level_sizes.iter().map(|s| s.to_string()).collect();
     json.push_str(&format!(
@@ -1088,7 +910,6 @@ fn main() {
          \"pcg_iterations_flat\": {}, \"pcg_iterations_multilevel\": {}, \
          \"solves_flat\": {}, \"solves_multilevel\": {}, \
          \"handles_built_flat\": {}, \"handles_built_multilevel\": {}, \
-         \"delta_updates_flat\": {}, \"delta_updates_multilevel\": {}, \
          \"edges_flat\": {}, \"edges_multilevel\": {}, \
          \"eig_rel_err_vs_flat\": {}, \"eig_corr_vs_flat\": {:.6}, \
          \"bit_identical_across_threads\": true}},\n",
@@ -1104,8 +925,6 @@ fn main() {
         ml.multi_stats.solves,
         ml.flat_revisions.handles_built,
         ml.multi_revisions.handles_built,
-        ml.flat_revisions.delta_updates,
-        ml.multi_revisions.delta_updates,
         ml.flat_edges,
         ml.multi_edges,
         sci(ml.eig_rel_err),

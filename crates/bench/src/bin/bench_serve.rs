@@ -16,9 +16,6 @@
 //!   publish: latency percentiles stay bounded, and every response must
 //!   bit-match the canonical answers *for the version that served it* —
 //!   one snapshot per answer, never a torn mix.
-//! * **revision** — the solver-revision counters of the final snapshot:
-//!   on the default policy the republish cadence must ride incremental
-//!   delta updates, not per-refresh refactorizations.
 //! * **overload** — the network front-end under deterministic chaos: a
 //!   fresh [`sgl_net::NetServer`] takes waves of a ~10×-capacity
 //!   request burst interleaved with seeded adversarial clients
@@ -471,7 +468,7 @@ fn main() {
     let n = truth.num_nodes();
     banner(
         "BENCH serve",
-        "lock-free snapshot serving: reader throughput, ingest churn, revision cadence",
+        "lock-free snapshot serving: reader throughput, ingest churn, overload",
         &[
             ("nodes", n.to_string()),
             ("M", m.to_string()),
@@ -486,7 +483,7 @@ fn main() {
 
     // Learn the initial model from ~60% of the measurement columns,
     // under-fitted (small iteration cap) so the streamed remainder keeps
-    // adding edges — the regime the incremental revisions target.
+    // adding edges: every publish serves a new graph revision.
     let all = Measurements::generate(&truth, m, 7).expect("measurements");
     let column_batch = |lo: usize, hi: usize| {
         let cols: Vec<Vec<f64>> = (lo..hi).map(|j| all.voltages().column(j)).collect();
@@ -626,25 +623,6 @@ fn main() {
         churn_wall,
     );
 
-    // ---- Arm 3: revision cadence on the default policy ------------------
-    let final_snap = reader.snapshot();
-    let rev = final_snap.revision_stats();
-    let publishes = stats.snapshots_published as usize;
-    assert!(
-        rev.delta_updates >= 1,
-        "default-policy republish cadence never took the delta-update path: {rev:?}"
-    );
-    assert!(
-        rev.handles_built < publishes + 1,
-        "every publish refactorized ({} builds for {} publishes): {rev:?}",
-        rev.handles_built,
-        publishes
-    );
-    println!(
-        "\nrevisions: {} publishes rode {} delta updates (rank {}) on {} full builds ✓",
-        publishes, rev.delta_updates, rev.delta_rank_applied, rev.handles_built
-    );
-
     // Server-side latency: measured inside the micro-batcher for every
     // query (including the collection window and queue wait), the
     // authoritative numbers — the bench-side per-arm percentiles above
@@ -663,7 +641,7 @@ fn main() {
         "server-side latency histogram recorded nothing"
     );
 
-    // ---- Arm 4: network front-end under overload + chaos ----------------
+    // ---- Arm 3: network front-end under overload + chaos ----------------
     let full_net = args.has("net");
     let chaos_seed: u64 = args.get("chaos-seed", 0xC4A0_5EED);
     let (overload, overload_wall) = time(|| overload_arm(full_net, chaos_seed));
@@ -735,16 +713,6 @@ fn main() {
         churn_p50 * 1e3,
         churn_p99 * 1e3,
         churn_max * 1e3,
-    ));
-    json.push_str(&format!(
-        "  \"revision\": {{\"publishes\": {}, \"handles_built\": {}, \
-         \"delta_updates\": {}, \"delta_rank_applied\": {}, \
-         \"refreshes_forced\": {}, \"delta_path_on_default_arm\": true}},\n",
-        publishes,
-        rev.handles_built,
-        rev.delta_updates,
-        rev.delta_rank_applied,
-        rev.refreshes_on_rank + rev.refreshes_on_iters + rev.refreshes_on_numeric,
     ));
     json.push_str(&format!(
         "  \"server_latency\": {{\"query_p50_ms\": {:.6}, \"query_p99_ms\": {:.6}, \

@@ -31,8 +31,7 @@ pub struct StepTimings {
     /// Candidate scoring (Step 3), plus the spectral embedding (Step 2)
     /// when none is cached — the first iteration's cold embed.
     pub score_s: f64,
-    /// Top-candidate selection, edge insertion, and incremental solver
-    /// delta absorption (densification).
+    /// Top-candidate selection and edge insertion (densification).
     pub densify_s: f64,
     /// The warm-started spectral re-embed (Step 2) after the graph
     /// change, the `embed` trace span. The field keeps its historical
@@ -142,9 +141,8 @@ pub struct LearnResult {
     /// Lifetime Laplacian-solve statistics of the run (all handle
     /// revisions combined); all-zero for a solver-free pipeline.
     pub solver_stats: sgl_solver::SolveStats,
-    /// Revision counters of the session's solver context: full
-    /// factorizations vs. incrementally absorbed edge deltas, and what
-    /// forced each refresh.
+    /// Revision counters of the session's solver context: handles built
+    /// (one per solved graph revision) and ladder downgrades.
     pub revision_stats: sgl_solver::RevisionStats,
     /// How many times the session degraded its learning strategy
     /// (Solver → SolverFree) after repeated solver failures. Zero on a

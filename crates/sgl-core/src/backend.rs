@@ -252,9 +252,6 @@ impl EdgeScaler for SpectralScaler {
         }
         let handle = ctx.handle_for(graph)?;
         let factor = spectral_edge_scaling_with(graph, measurements, handle.as_ref())?;
-        // The weights changed uniformly — `(c·L)⁺ = L⁺/c`, so the
-        // context can keep its factorization and serve a scaled wrapper.
-        ctx.apply_scale(graph, factor);
         Ok(Some(factor))
     }
 }

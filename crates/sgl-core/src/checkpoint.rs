@@ -23,13 +23,13 @@
 //!
 //! [`SglSession::checkpoint`] is a solver **revision barrier**: after
 //! writing the file it invalidates the live session's solver context.
-//! Factorizations and Woodbury low-rank corrections are not
-//! serializable state, so instead *both* futures — the session that
-//! keeps running and the one restored from the file — rebuild a fresh
-//! factorization from the same graph at their next solve. Every other
-//! piece of resumable state (measurements, graphs, pool order, trace,
-//! epoch counters, embedding, strategy) round-trips exactly, so the two
-//! continuations are indistinguishable. Solve/revision *statistics*
+//! Factorizations are not serializable state, so instead *both* futures
+//! — the session that keeps running and the one restored from the file —
+//! rebuild a fresh factorization from the same graph at their next
+//! solve. Every other piece of resumable state (measurements, graphs,
+//! pool order, trace, epoch counters, embedding, strategy) round-trips
+//! exactly, so the two continuations are indistinguishable.
+//! Solve/revision *statistics*
 //! restart from zero in a restored session; they are diagnostics, not
 //! inputs to the algorithm.
 //!

@@ -412,7 +412,7 @@ impl SglConfigBuilder {
     }
 
     /// Replace the whole solver policy (method, tolerance, iteration
-    /// cap, delta-rank cap) in one call.
+    /// cap, dense guard, parallelism) in one call.
     pub fn solver_policy(mut self, solver: SolverPolicy) -> Self {
         self.cfg.solver = solver;
         self
@@ -433,15 +433,6 @@ impl SglConfigBuilder {
     /// Iteration cap for the pipeline's Laplacian solves.
     pub fn solver_max_iter(mut self, max_iter: usize) -> Self {
         self.cfg.solver.max_iter = max_iter;
-        self
-    }
-
-    /// Cap on the accumulated low-rank delta the solver context absorbs
-    /// incrementally before a full refactorization (0 = incremental
-    /// revisions off; every edge insertion refactors, the pre-revision
-    /// behavior).
-    pub fn max_delta_rank(mut self, max_delta_rank: usize) -> Self {
-        self.cfg.solver.max_delta_rank = max_delta_rank;
         self
     }
 
@@ -621,9 +612,6 @@ mod tests {
         assert_eq!(c.solver.rtol, 1e-8);
         assert_eq!(c.solver.max_iter, 500);
         assert_eq!(c.resistance, ResistanceMethod::SpectralSketch { width: 16 });
-        // The revision knob threads through too.
-        let c = SglConfig::builder().max_delta_rank(17).build().unwrap();
-        assert_eq!(c.solver.max_delta_rank, 17);
         // Policy violations are caught at build() time.
         assert!(SglConfig::builder().solver_rtol(0.0).build().is_err());
         assert!(SglConfig::builder().solver_max_iter(0).build().is_err());

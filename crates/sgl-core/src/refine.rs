@@ -25,7 +25,7 @@
 use crate::error::SglError;
 use crate::measure::Measurements;
 use crate::resistance::{ResistanceEstimator, ResistanceSketch, SpectralSketch};
-use sgl_graph::{EdgeDelta, Graph};
+use sgl_graph::Graph;
 use sgl_linalg::FilteredSpectrumOptions;
 use sgl_solver::{SolverContext, SolverPolicy};
 
@@ -89,9 +89,9 @@ pub fn refine_weights(
 
 /// [`refine_weights`] drawing every round's JL-sketch solver handle from
 /// a shared [`SolverContext`] — the multilevel path, where one context
-/// tracks the lifetime solve statistics of a whole V-cycle. The context
-/// is invalidated after each round's weight update (the graph changed),
-/// so a later round — or the caller — never sees a stale handle.
+/// tracks the lifetime solve statistics of a whole V-cycle. Each round's
+/// weight update moves the graph's revision, so the next round's request
+/// builds a fresh handle.
 ///
 /// # Errors
 /// See [`refine_weights`].
@@ -148,17 +148,14 @@ pub fn refine_weights_solver_free(
     refine_rounds(graph, measurements, opts, &mut resistor)
 }
 
-/// How a refinement round obtains its effective-resistance oracle and
-/// learns about the weight update that follows it — the seam between
-/// the solver-backed and solver-free variants.
+/// How a refinement round obtains its effective-resistance oracle — the
+/// seam between the solver-backed and solver-free variants.
 trait RefineResistor {
     fn estimator(
         &mut self,
         graph: &Graph,
         round: usize,
     ) -> Result<Box<dyn ResistanceEstimator>, SglError>;
-
-    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]);
 }
 
 /// JL sketch through the shared solver context (the classic path).
@@ -182,17 +179,10 @@ impl RefineResistor for JlResistor<'_> {
             self.seed.wrapping_add(round as u64),
         )?))
     }
-
-    fn graph_updated(&mut self, graph: &Graph, deltas: &[EdgeDelta]) {
-        // Weights just changed — report the (usually full-rank) delta to
-        // the context: small graphs absorb it incrementally, larger ones
-        // exceed the delta-rank cap and refactor exactly as before.
-        self.ctx.apply_deltas(graph, deltas);
-    }
 }
 
 /// Filtered truncated-spectrum sketch, rebuilt from matvecs each round
-/// (the solver-free path — nothing to invalidate on update).
+/// (the solver-free path).
 struct FilteredResistor {
     width: usize,
     seed: u64,
@@ -213,13 +203,11 @@ impl RefineResistor for FilteredResistor {
             &self.opts,
         )?))
     }
-
-    fn graph_updated(&mut self, _graph: &Graph, _deltas: &[EdgeDelta]) {}
 }
 
 /// The shared fixed-point loop: score every edge's distortion η against
-/// the round's resistance oracle, apply the damped clamped update, tell
-/// the resistor, record the trace.
+/// the round's resistance oracle, apply the damped clamped update,
+/// record the trace.
 fn refine_rounds(
     graph: &mut Graph,
     measurements: &Measurements,
@@ -277,17 +265,13 @@ fn refine_rounds(
         };
         let mut max_log = 0.0f64;
         let mut sum_log = 0.0f64;
-        let mut deltas = Vec::with_capacity(num_edges);
         for (i, &eta) in etas.iter().enumerate() {
             let log_eta = eta.ln();
             max_log = max_log.max(log_eta.abs());
             sum_log += log_eta.abs();
             let factor = eta.powf(opts.damping).clamp(1.0 / opts.clamp, opts.clamp);
-            let e = graph.edge(i);
-            graph.set_weight(i, e.weight * factor);
-            deltas.push(EdgeDelta::reweight(e.u, e.v, e.weight, e.weight * factor));
+            graph.set_weight(i, graph.edge(i).weight * factor);
         }
-        resistor.graph_updated(graph, &deltas);
         trace.push(RefineRecord {
             round,
             max_log_distortion: max_log,
@@ -380,19 +364,10 @@ mod tests {
             assert_eq!((a.u, a.v), (b.u, b.v));
             assert_eq!(a.weight, b.weight, "context path must be bit-identical");
         }
-        // Each round's weight update is reported to the context: either
-        // absorbed incrementally (small graphs fit the delta-rank cap)
-        // or refactored — two rounds account for two revisions either
-        // way, and the context saw every sketch solve.
-        let rs = ctx.revision_stats();
-        assert!(
-            rs.handles_built >= 1 && rs.handles_built <= 2,
-            "two rounds need at most two factorizations: {rs:?}"
-        );
-        assert!(
-            rs.handles_built + rs.delta_updates >= 2,
-            "every round's weight update must be accounted for: {rs:?}"
-        );
+        // Each round sketches a new revision (the previous round moved
+        // the weights), so two rounds build two handles, and the context
+        // saw every sketch solve.
+        assert_eq!(ctx.handles_built(), 2, "one handle per round");
         assert!(ctx.cumulative_stats().solves > 0);
     }
 

@@ -45,7 +45,7 @@ use crate::resistance::{build_resistance_estimator, ResistanceEstimator, Resista
 use crate::sensitivity::{Candidate, CandidatePool};
 use crate::strategy::{resolve_strategy, solver_free_registered, LearnStrategyKind};
 use sgl_graph::mst::maximum_spanning_tree;
-use sgl_graph::{EdgeDelta, Graph};
+use sgl_graph::Graph;
 use sgl_knn::build_knn_graph;
 use sgl_linalg::par::with_threads_hint as with_session_threads;
 use sgl_linalg::DenseMatrix;
@@ -468,11 +468,10 @@ impl<'m> SglSession<'m> {
     }
 
     /// A shared, read-only solver handle for the current learned-graph
-    /// revision, drawn from the session's context (built or incrementally
-    /// corrected on demand). The `Arc` stays valid — and keeps serving
-    /// the revision it was built for — even after the session steps on:
-    /// later `apply_deltas` copy-on-write the operator instead of
-    /// mutating it under a live reader.
+    /// revision, drawn from the session's context (built on demand). The
+    /// `Arc` stays valid — and keeps serving the revision it was built
+    /// for — even after the session steps on: a handle is immutable, and
+    /// the next revision gets a handle of its own.
     ///
     /// # Errors
     /// Propagates solver construction failures.
@@ -579,9 +578,7 @@ impl<'m> SglSession<'m> {
             Err(SglError::Linalg(_)) => {
                 // First rung: a fresh factorization. The failed stage
                 // left no partial mutation behind (a failed embed leaves
-                // the cache empty; a failed delta absorb already
-                // scheduled its own refresh), so re-entering the step is
-                // safe.
+                // the cache empty), so re-entering the step is safe.
                 self.solver_failures += 1;
                 self.solver.invalidate();
                 match with_session_threads(parallelism, || self.step_inner()) {
@@ -705,17 +702,11 @@ impl<'m> SglSession<'m> {
             self.stopping.selection_tol(),
         );
         let added = picked.len();
-        let mut deltas = Vec::with_capacity(added);
+        // A new graph revision: the solver context sees it moved and
+        // builds a fresh handle on its next request.
         for c in picked {
             self.graph.add_edge(c.u, c.v, c.weight);
-            deltas.push(EdgeDelta::insert(c.u, c.v, c.weight));
         }
-        // A new graph revision, but a low-rank one: let the solver
-        // context absorb the `⌈Nβ⌉` inserted edges as a Woodbury
-        // correction on its cached factorization instead of refactoring
-        // (it refreshes itself at the policy's delta-rank /
-        // iteration-blow-up cadence).
-        self.solver.apply_deltas(&self.graph, &deltas);
         drop(densify_sp);
         let densify_s = densify_start.elapsed().as_secs_f64();
         let record = self.push_record(

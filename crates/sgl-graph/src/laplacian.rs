@@ -4,49 +4,6 @@
 use crate::Graph;
 use sgl_linalg::{CsrMatrix, LinearOperator};
 
-/// A weight change on one undirected edge: the unit of the incremental
-/// solver-revision path. An edge insertion at weight `w` is a delta of
-/// `+w`; a reweighting from `w` to `w'` is a delta of `w' − w`. The
-/// Laplacian moves by the rank-1 term `dweight · b_e b_eᵀ` with
-/// `b_e = e_u − e_v`, which is what
-/// [`apply_laplacian_deltas`] applies in place and what the solver
-/// layer's Woodbury correction inverts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EdgeDelta {
-    /// One endpoint.
-    pub u: usize,
-    /// The other endpoint (orientation is irrelevant).
-    pub v: usize,
-    /// Signed conductance change (positive for insertions).
-    pub dweight: f64,
-}
-
-impl EdgeDelta {
-    /// Delta for inserting (or merging) edge `(u, v)` at weight `w`.
-    pub fn insert(u: usize, v: usize, w: f64) -> Self {
-        EdgeDelta { u, v, dweight: w }
-    }
-
-    /// Delta for moving edge `(u, v)` from weight `old` to `new`.
-    pub fn reweight(u: usize, v: usize, old: f64, new: f64) -> Self {
-        EdgeDelta {
-            u,
-            v,
-            dweight: new - old,
-        }
-    }
-}
-
-/// Apply edge deltas to an assembled Laplacian in place (see
-/// [`CsrMatrix::apply_laplacian_deltas`]): returns `true` when the
-/// pattern already stored every touched edge, `false` — with the matrix
-/// untouched — when a delta introduces a new edge and the caller must
-/// rebuild via [`laplacian_csr`] (the pattern-extending path).
-pub fn apply_laplacian_deltas(l: &mut CsrMatrix, deltas: &[EdgeDelta]) -> bool {
-    let triples: Vec<(usize, usize, f64)> = deltas.iter().map(|d| (d.u, d.v, d.dweight)).collect();
-    l.apply_laplacian_deltas(&triples)
-}
-
 /// Assemble the graph Laplacian `L = D − W` as a CSR matrix.
 pub fn laplacian_csr(g: &Graph) -> CsrMatrix {
     let n = g.num_nodes();
@@ -162,36 +119,6 @@ mod tests {
         let g = triangle();
         let csr = laplacian_csr(&g);
         assert_eq!(csr.diagonal(), g.weighted_degrees());
-    }
-
-    #[test]
-    fn edge_deltas_track_graph_mutations() {
-        let mut g = triangle();
-        let mut l = laplacian_csr(&g);
-        // Reweight (0,1): in-place delta equals a fresh reassembly.
-        let old = g.edge(0).weight;
-        g.set_weight(0, 2.5);
-        assert!(apply_laplacian_deltas(
-            &mut l,
-            &[EdgeDelta::reweight(0, 1, old, 2.5)]
-        ));
-        assert_eq!(l, laplacian_csr(&g));
-        // Merge onto an existing edge: still a pattern hit.
-        g.add_edge(1, 2, 0.75);
-        assert!(apply_laplacian_deltas(
-            &mut l,
-            &[EdgeDelta::insert(1, 2, 0.75)]
-        ));
-        assert_eq!(l, laplacian_csr(&g));
-        // A brand-new edge misses the pattern: rebuild path.
-        let mut bigger = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)]);
-        let mut l4 = laplacian_csr(&bigger);
-        bigger.add_edge(0, 3, 1.5);
-        assert!(!apply_laplacian_deltas(
-            &mut l4,
-            &[EdgeDelta::insert(0, 3, 1.5)]
-        ));
-        assert_eq!(l4, laplacian_csr(&bigger.edge_subgraph(&[0, 1, 2])));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod tree;
 pub mod union_find;
 
 pub use csr::AdjacencyCsr;
-pub use laplacian::{EdgeDelta, LaplacianOp};
+pub use laplacian::LaplacianOp;
 pub use union_find::UnionFind;
 
 use std::fmt;

@@ -49,7 +49,6 @@ pub mod rng;
 pub mod sparse;
 pub mod symeig;
 pub mod vecops;
-pub mod woodbury;
 
 pub use cg::{
     cg_solve, pcg_solve, pcg_solve_with, CgIterStats, CgOptions, CgSolution, CgWorkspace,
@@ -74,4 +73,3 @@ pub use qr::{orthonormalize_columns, QrFactor};
 pub use rng::Rng;
 pub use sparse::{CsrEntries, CsrMatrix};
 pub use symeig::{tridiag_eig, SymEig};
-pub use woodbury::WoodburyUpdate;

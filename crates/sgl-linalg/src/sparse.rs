@@ -225,71 +225,6 @@ impl CsrMatrix {
         });
     }
 
-    /// Multiply every stored value by `factor` (pattern unchanged) —
-    /// `c·A` in place, e.g. a uniformly rescaled graph Laplacian.
-    pub fn scale_values(&mut self, factor: f64) {
-        for v in &mut self.values {
-            *v *= factor;
-        }
-    }
-
-    /// Position of entry `(i, j)` in the value array, if stored.
-    #[inline]
-    fn entry_position(&self, i: usize, j: usize) -> Option<usize> {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        self.col_idx[lo..hi].binary_search(&j).ok().map(|p| lo + p)
-    }
-
-    /// Apply a batch of graph-Laplacian edge deltas **in place**: for
-    /// every `(u, v, dw)` add `dw` to the diagonal entries `(u, u)` and
-    /// `(v, v)` and subtract it from the off-diagonals `(u, v)` and
-    /// `(v, u)` — the rank-1 update `dw · b_e b_eᵀ` of an edge-weight
-    /// change, `O(log deg)` per entry instead of a full reassembly.
-    ///
-    /// The update is all-or-nothing: if **any** delta touches an entry
-    /// the sparsity pattern does not already store (a genuinely new
-    /// edge), the matrix is left untouched and `false` is returned — the
-    /// caller performs a pattern-extending rebuild instead. Weight
-    /// changes on existing edges always succeed.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or an endpoint is out of
-    /// range; `u == v` deltas are rejected the same way (a Laplacian has
-    /// no self loops).
-    pub fn apply_laplacian_deltas(&mut self, deltas: &[(usize, usize, f64)]) -> bool {
-        assert_eq!(
-            self.nrows, self.ncols,
-            "apply_laplacian_deltas: matrix must be square"
-        );
-        for &(u, v, _) in deltas {
-            assert!(
-                u < self.nrows && v < self.nrows && u != v,
-                "apply_laplacian_deltas: invalid edge ({u}, {v}) for order {}",
-                self.nrows
-            );
-        }
-        // Two phases keep the update atomic: locate every touched entry
-        // first, mutate only when the whole batch fits the pattern.
-        let mut positions = Vec::with_capacity(4 * deltas.len());
-        for &(u, v, _) in deltas {
-            for (i, j) in [(u, u), (v, v), (u, v), (v, u)] {
-                match self.entry_position(i, j) {
-                    Some(p) => positions.push(p),
-                    None => return false,
-                }
-            }
-        }
-        for (k, &(_, _, dw)) in deltas.iter().enumerate() {
-            let base = 4 * k;
-            self.values[positions[base]] += dw;
-            self.values[positions[base + 1]] += dw;
-            self.values[positions[base + 2]] -= dw;
-            self.values[positions[base + 3]] -= dw;
-        }
-        true
-    }
-
     /// `y = Aᵀ x`.
     ///
     /// # Panics
@@ -466,41 +401,6 @@ impl LinearOperator for CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn laplacian_deltas_update_in_place() {
-        // Path Laplacian on 3 nodes (edges (0,1) and (1,2), unit weight).
-        let mut l = sample();
-        // Bump edge (0,1) by 0.5: pattern hit, applied in place.
-        assert!(l.apply_laplacian_deltas(&[(0, 1, 0.5)]));
-        let expect = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 2.5),
-                (0, 1, -1.5),
-                (1, 0, -1.5),
-                (1, 1, 2.5),
-                (1, 2, -1.0),
-                (2, 1, -1.0),
-                (2, 2, 2.0),
-            ],
-        );
-        assert_eq!(l, expect);
-        // Batch with one pattern miss (edge (0,2) is new): rejected
-        // atomically — nothing changes, not even the matching (1,2).
-        assert!(!l.apply_laplacian_deltas(&[(1, 2, 1.0), (0, 2, 1.0)]));
-        assert_eq!(l, expect);
-        // A negative delta (weight decrease) works too.
-        assert!(l.apply_laplacian_deltas(&[(0, 1, -0.5)]));
-        assert_eq!(l, sample());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid edge")]
-    fn laplacian_delta_self_loop_panics() {
-        sample().apply_laplacian_deltas(&[(1, 1, 1.0)]);
-    }
 
     fn sample() -> CsrMatrix {
         // [ 2 -1  0 ]

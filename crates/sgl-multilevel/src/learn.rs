@@ -44,7 +44,7 @@ use sgl_core::{
     RefineOptions, SglConfig, SglError, SglSession,
 };
 use sgl_graph::mst::maximum_spanning_tree;
-use sgl_graph::{EdgeDelta, Graph};
+use sgl_graph::Graph;
 use sgl_knn::build_knn_graph;
 use sgl_linalg::par::with_threads_hint;
 use sgl_linalg::DenseMatrix;
@@ -154,7 +154,7 @@ pub struct MultilevelResult {
     /// it.
     pub solver_stats: SolveStats,
     /// Revision counters of the whole run (coarsest session + upward
-    /// sweep): full factorizations vs. incrementally absorbed deltas.
+    /// sweep): handles built and ladder downgrades.
     pub revision_stats: sgl_solver::RevisionStats,
 }
 
@@ -352,7 +352,6 @@ fn learn_inner(
                 pruned = s.dropped_edges;
                 prune_stats.absorb(&s.solver_stats);
                 fine = s.graph;
-                ctx.invalidate();
             }
         }
         reports.push(LevelReport {
@@ -452,16 +451,10 @@ fn densify_level(
         if picked.is_empty() {
             break;
         }
-        let mut deltas = Vec::with_capacity(picked.len());
         for c in &picked {
             graph.add_edge(c.u, c.v, c.weight);
-            deltas.push(EdgeDelta::insert(c.u, c.v, c.weight));
         }
         added += picked.len();
-        // Low-rank revision: the context keeps its factorization and
-        // absorbs the sweep's insertions as a Woodbury correction (or
-        // refreshes itself at the policy cadence).
-        ctx.apply_deltas(graph, &deltas);
     }
     Ok((added, warm))
 }

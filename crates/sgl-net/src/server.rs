@@ -462,7 +462,7 @@ fn handle_connection(inner: &Arc<Inner>, job: Job) {
     let _ = stream.shutdown(Shutdown::Both);
     let elapsed_ns = accepted_at.elapsed().as_nanos() as u64;
     inner.latency.record(elapsed_ns);
-    sgl_trace::observe("net.request_latency", elapsed_ns / 1_000_000);
+    sgl_trace::observe("net.request_latency_us", elapsed_ns / 1_000);
 }
 
 type Response = (u16, &'static str, Vec<(&'static str, String)>, String);

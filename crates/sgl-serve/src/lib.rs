@@ -22,8 +22,9 @@
 //!   the session, absorbs measurement batches via
 //!   [`SglSession::extend_measurements`](sgl_core::SglSession::extend_measurements),
 //!   runs bounded refinement sweeps, and publishes a refreshed
-//!   snapshot. Refreshes ride the solver's incremental revisions
-//!   (rank-`r` delta updates), not refactorizations.
+//!   snapshot. A refresh builds one solver handle for the new graph
+//!   revision; on the near-trees SGL learns that is the exact near-tree
+//!   preconditioner, one PCG iteration per solve.
 //!
 //! # Resilience
 //!

@@ -5,10 +5,10 @@
 //! answer queries against the latest published [`GraphSnapshot`]. A
 //! publish is an `Arc` swap through the
 //! [`SnapshotCell`] — readers never block on
-//! the writer, and a refresh costs the session's incremental solver
-//! revision (a rank-`r` delta update through
-//! [`SolverContext::apply_deltas`](sgl_solver::SolverContext)), not a
-//! refactorization.
+//! the writer, and a refresh builds one solver handle for the new graph
+//! revision through the session's
+//! [`SolverContext`](sgl_solver::SolverContext) (the exact near-tree
+//! preconditioner on the graphs SGL learns).
 //!
 //! Lifecycle: [`SglServer::new`] takes ownership of a prepared session
 //! (use [`SglSession::from_owned`] for a `'static` one), cuts snapshot
@@ -133,7 +133,7 @@ pub struct ServeStats {
     /// 99th-percentile queue wait, milliseconds.
     pub queue_wait_p99_ms: f64,
     /// The session solver context's revision counters at the last
-    /// publish — shows delta updates vs. full refactorizations.
+    /// publish — handles built and ladder downgrades.
     pub revision: RevisionStats,
 }
 
@@ -685,6 +685,7 @@ impl ServeHandle {
 mod tests {
     use super::*;
     use sgl_core::SglConfig;
+    use sgl_solver::SolverPolicy;
 
     fn serving() -> (SglServer, sgl_graph::Graph) {
         let truth = sgl_datasets::grid2d(5, 5);
@@ -728,6 +729,27 @@ mod tests {
         // ...while a pinned snapshot keeps serving its own version.
         let pinned = reader.snapshot();
         assert_eq!(pinned.version(), 2);
+        // Each publish built a fresh handle for its graph revision: the
+        // snapshot serves exactly what the policy builds for that graph
+        // (the exact near-tree PCG on this fixture), one PCG iteration
+        // per solve.
+        let fresh = SolverPolicy::default()
+            .build_handle(pinned.graph())
+            .unwrap();
+        assert_eq!(fresh.method_name(), "tree-pcg");
+        assert_eq!(pinned.handle().method_name(), fresh.method_name());
+        let stats_before = pinned.handle().stats();
+        pinned
+            .resistances(&sgl_core::sample_node_pairs(25, 8, 11))
+            .unwrap();
+        let stats_after = pinned.handle().stats();
+        let solves = stats_after.solves - stats_before.solves;
+        assert!(solves > 0, "the resistance query solved nothing");
+        assert_eq!(
+            stats_after.iterations - stats_before.iterations,
+            solves,
+            "one PCG iteration per solve"
+        );
 
         let stats = server.stats();
         assert_eq!(stats.snapshots_published, 2);

@@ -8,10 +8,10 @@
 //! so readers never reach back into the (mutating) learning session.
 //! Snapshots are built by the writer from a paused [`SglSession`] and
 //! published through a [`SnapshotCell`](crate::epoch::SnapshotCell);
-//! the `Arc<dyn SolverHandle>` inside is revision-stable: later
-//! incremental updates on the session's
-//! [`SolverContext`](sgl_solver::SolverContext) patch a
-//! copy-on-write clone, never the matrix this snapshot serves from.
+//! the `Arc<dyn SolverHandle>` inside is revision-stable: a handle is
+//! immutable, and later revisions on the session's
+//! [`SolverContext`](sgl_solver::SolverContext) get handles of their
+//! own.
 //!
 //! The snapshot's graph carries the learner's *working* weights: final
 //! spectral edge scaling (step 5 of the paper's flow) only runs in
@@ -134,7 +134,7 @@ impl GraphSnapshot {
     }
 
     /// The session solver context's revision counters at snapshot time
-    /// (shows whether refreshes ran as delta updates or refactorizations).
+    /// (handles built and ladder downgrades).
     pub fn revision_stats(&self) -> RevisionStats {
         self.revision_stats
     }

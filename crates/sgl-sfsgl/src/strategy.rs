@@ -14,8 +14,7 @@ use sgl_solver::SolverContext;
 /// by [`solver_free_edge_scaling`] (diagonally scaled CG recurrences —
 /// matvecs only), skipped for voltage-only measurements exactly like the
 /// solver-backed [`SpectralScaler`](sgl_core::SpectralScaler). The
-/// session's solver context is only *invalidated* (it holds no
-/// factorization on this path, so that is a flag write, not a rebuild).
+/// session's solver context is never consulted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverFreeScaler;
 
@@ -24,13 +23,12 @@ impl EdgeScaler for SolverFreeScaler {
         &self,
         graph: &mut Graph,
         measurements: &Measurements,
-        ctx: &mut SolverContext,
+        _ctx: &mut SolverContext,
     ) -> Result<Option<f64>, SglError> {
         if measurements.currents().is_none() {
             return Ok(None);
         }
         let factor = solver_free_edge_scaling(graph, measurements)?;
-        ctx.apply_scale(graph, factor);
         Ok(Some(factor))
     }
 }
@@ -79,12 +77,9 @@ impl LearnStrategy for SolverFreeStrategy {
         graph: &mut Graph,
         measurements: &Measurements,
         opts: &RefineOptions,
-        ctx: &mut SolverContext,
+        _ctx: &mut SolverContext,
     ) -> Result<Vec<RefineRecord>, SglError> {
-        let records = refine_weights_solver_free(graph, measurements, opts)?;
-        // Weights changed; any (hypothetical) prepared state is stale.
-        ctx.invalidate();
-        Ok(records)
+        refine_weights_solver_free(graph, measurements, opts)
     }
 }
 

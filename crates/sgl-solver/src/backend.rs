@@ -130,18 +130,6 @@ pub trait SolverHandle: Send + Sync {
 
     /// Cumulative solve statistics for this handle.
     fn stats(&self) -> SolveStats;
-
-    /// The handle's prepared PCG preconditioner, if it has one that is
-    /// meaningful *as a preconditioner on its own* (tree solve, AMG
-    /// V-cycle, Jacobi diagonal). Solver revisions use it to keep
-    /// preconditioning PCG against a slightly updated operator — the
-    /// stale-preconditioner amortization — so the setup keeps earning
-    /// across low-rank graph changes. Direct methods return `None`
-    /// (their amortization path is the Woodbury-corrected base solve
-    /// instead).
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,15 +286,6 @@ pub struct SolverPolicy {
     /// otherwise; `1` pins the guaranteed-serial path (bit-identical
     /// results either way).
     pub parallelism: usize,
-    /// Cap on the accumulated low-rank delta a
-    /// [`SolverContext`](crate::SolverContext) may absorb through
-    /// [`apply_deltas`](crate::SolverContext::apply_deltas) before it
-    /// falls back to a full refactorization: once the number of distinct
-    /// delta edges since the last full build would exceed this, the next
-    /// request rebuilds instead of stacking another Woodbury correction.
-    /// `0` disables the incremental path entirely (every delta batch
-    /// invalidates — the pre-revision behavior).
-    pub max_delta_rank: usize,
 }
 
 impl Default for SolverPolicy {
@@ -317,7 +296,6 @@ impl Default for SolverPolicy {
             max_iter: 10_000,
             dense_max_nodes: 4096,
             parallelism: 0,
-            max_delta_rank: 64,
         }
     }
 }
@@ -379,7 +357,7 @@ impl SolverPolicy {
             PolicyMethod::Auto => PolicyMethod::AmgPcg,
             m => m,
         };
-        let pcg = |precond: Arc<dyn Preconditioner + Send + Sync>| Kernel::Pcg {
+        let pcg = |precond: Box<dyn Preconditioner + Send + Sync>| Kernel::Pcg {
             op: LaplacianOp::new(graph),
             precond,
         };
@@ -393,9 +371,9 @@ impl SolverPolicy {
                 ));
             }
             PolicyMethod::TreeDirect => Kernel::Tree(TreeSolver::new(graph)),
-            PolicyMethod::TreePcg => pcg(Arc::new(TreePreconditioner::from_graph(graph))),
-            PolicyMethod::AmgPcg => pcg(Arc::new(AmgHierarchy::build(graph))),
-            PolicyMethod::JacobiPcg => pcg(Arc::new(JacobiPreconditioner::from_diagonal(
+            PolicyMethod::TreePcg => pcg(Box::new(TreePreconditioner::from_graph(graph))),
+            PolicyMethod::AmgPcg => pcg(Box::new(AmgHierarchy::build(graph))),
+            PolicyMethod::JacobiPcg => pcg(Box::new(JacobiPreconditioner::from_diagonal(
                 &graph.weighted_degrees(),
             ))),
             PolicyMethod::Auto => unreachable!("resolved above"),
@@ -429,14 +407,6 @@ impl SolverPolicy {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Builder-style setter for the delta-rank cap (0 = incremental
-    /// revisions off).
-    #[must_use]
-    pub fn with_max_delta_rank(mut self, max_delta_rank: usize) -> Self {
-        self.max_delta_rank = max_delta_rank;
         self
     }
 }

@@ -4,8 +4,8 @@
 //! solver layer ([`SolverContext`](crate::SolverContext)) and the serving
 //! layer (`sgl-serve`). Each [`FaultKind`] has *opportunity* sites in the
 //! code — points where that failure could physically occur (a
-//! preconditioner build, a PCG solve, a Woodbury capacitance assembly, a
-//! query validation, a writer-thread ingest). Every time execution
+//! preconditioner build, a PCG solve, a query validation, a
+//! writer-thread ingest). Every time execution
 //! reaches a site it asks [`FaultPlan::should_fire`], which increments
 //! that kind's opportunity counter and fires iff the counter matches one
 //! of the plan's trigger indices.
@@ -37,11 +37,6 @@ pub enum FaultKind {
     /// Recovery: the session invalidates its solver state and retries
     /// on a fresh factorization.
     PcgStagnation,
-    /// Singular Woodbury capacitance during a low-rank delta update or
-    /// rescale over a direct base. Recovery: the context drops the
-    /// correction and refactors on the next request (counted in
-    /// `refreshes_on_numeric`).
-    WoodburySingular,
     /// A corrupted (NaN-poisoned) query request reaching `sgl-serve`.
     /// Recovery: request validation rejects it as a `BadQuery` without
     /// disturbing the batch it rode in on.
@@ -55,10 +50,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in counter order.
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::PrecondBreakdown,
         FaultKind::PcgStagnation,
-        FaultKind::WoodburySingular,
         FaultKind::PoisonQuery,
         FaultKind::WriterPanic,
     ];
@@ -68,7 +62,6 @@ impl FaultKind {
         match self {
             FaultKind::PrecondBreakdown => "precond-breakdown",
             FaultKind::PcgStagnation => "pcg-stagnation",
-            FaultKind::WoodburySingular => "woodbury-singular",
             FaultKind::PoisonQuery => "poison-query",
             FaultKind::WriterPanic => "writer-panic",
         }
@@ -78,9 +71,8 @@ impl FaultKind {
         match self {
             FaultKind::PrecondBreakdown => 0,
             FaultKind::PcgStagnation => 1,
-            FaultKind::WoodburySingular => 2,
-            FaultKind::PoisonQuery => 3,
-            FaultKind::WriterPanic => 4,
+            FaultKind::PoisonQuery => 2,
+            FaultKind::WriterPanic => 3,
         }
     }
 }
@@ -98,9 +90,9 @@ pub struct FaultEvent {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Trigger opportunity indices per kind (sorted, deduplicated).
-    triggers: [Vec<usize>; 5],
+    triggers: [Vec<usize>; 4],
     /// Live opportunity counters per kind.
-    counters: [AtomicUsize; 5],
+    counters: [AtomicUsize; 4],
     /// Log of faults that actually fired.
     injected: Mutex<Vec<FaultEvent>>,
 }
@@ -124,14 +116,13 @@ impl FaultPlan {
 
     /// The standard seeded schedule used by the bench fault arm and the
     /// CI smoke job: one early build breakdown, one PCG stagnation, one
-    /// Woodbury singularity, one poisoned query, and one writer panic,
-    /// each at a seed-derived early opportunity.
+    /// poisoned query, and one writer panic, each at a seed-derived early
+    /// opportunity.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
         Self::new()
             .with_fault(FaultKind::PrecondBreakdown, rng.below(2))
             .with_fault(FaultKind::PcgStagnation, 1 + rng.below(4))
-            .with_fault(FaultKind::WoodburySingular, rng.below(2))
             .with_fault(FaultKind::PoisonQuery, rng.below(3))
             .with_fault(FaultKind::WriterPanic, rng.below(2))
     }

@@ -6,7 +6,6 @@ use crate::tree_solver::TreeSolver;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_linalg::cg::{pcg_solve_with, CgOptions, CgWorkspace};
 use sgl_linalg::{par, vecops, LinalgError, Preconditioner};
-use std::sync::Arc;
 
 /// What a [`PcgHandle`] runs per right-hand side.
 pub(crate) enum Kernel {
@@ -15,10 +14,7 @@ pub(crate) enum Kernel {
     /// Projected PCG on the graph's Laplacian.
     Pcg {
         op: LaplacianOp,
-        /// Shared so revision wrappers can keep preconditioning PCG on
-        /// an *updated* operator without refactoring (see
-        /// [`SolverHandle::stale_preconditioner`]).
-        precond: Arc<dyn Preconditioner + Send + Sync>,
+        precond: Box<dyn Preconditioner + Send + Sync>,
     },
 }
 
@@ -148,13 +144,6 @@ impl SolverHandle for PcgHandle {
     fn stats(&self) -> SolveStats {
         self.stats.snapshot()
     }
-
-    fn stale_preconditioner(&self) -> Option<Arc<dyn Preconditioner + Send + Sync>> {
-        match &self.kernel {
-            Kernel::Pcg { precond, .. } => Some(Arc::clone(precond)),
-            Kernel::Tree(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,6 +153,7 @@ mod tests {
     use sgl_graph::laplacian::laplacian_csr;
     use sgl_graph::Graph;
     use sgl_linalg::Rng;
+    use std::sync::Arc;
 
     fn build(g: &Graph, method: PolicyMethod) -> Result<Arc<dyn SolverHandle>, LinalgError> {
         SolverPolicy::default().with_method(method).build_handle(g)
@@ -191,7 +181,6 @@ mod tests {
         let g = Graph::from_edges(20, (0..19).map(|i| (i, i + 1, 1.0 + i as f64 * 0.1)));
         let s = build(&g, PolicyMethod::Auto).unwrap();
         assert_eq!(s.method_name(), "tree-direct");
-        assert!(s.stale_preconditioner().is_none());
         verify(&g, s.as_ref(), 1);
     }
 
@@ -200,7 +189,6 @@ mod tests {
         let g = grid2d(12, 12);
         let s = build(&g, PolicyMethod::Auto).unwrap();
         assert_eq!(s.method_name(), "amg-pcg");
-        assert!(s.stale_preconditioner().is_some());
         verify(&g, s.as_ref(), 2);
     }
 

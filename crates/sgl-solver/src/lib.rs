@@ -25,9 +25,8 @@
 //!   [`solve_batch`](SolverHandle::solve_batch), and cumulative
 //!   [`stats`](SolverHandle::stats). Shared across stages via `Arc`.
 //! * [`SolverContext`] — a session-owned, revision-tracked cache: one
-//!   handle per learned-graph revision, with low-rank edge deltas
-//!   absorbed incrementally and a degradation ladder on build
-//!   breakdown.
+//!   handle per learned-graph revision, rebuilt whenever the graph
+//!   moves, with a degradation ladder on build breakdown.
 //!
 //! # The kernels (what the handles are built from)
 //!

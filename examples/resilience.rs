@@ -7,10 +7,10 @@
 //!    save it to disk, restore, and verify the resumed run learns a
 //!    graph bit-identical to the uninterrupted one.
 //! 2. **Faulted learning** — rerun the same learn with a seeded
-//!    [`FaultPlan`] forcing a preconditioner breakdown, a PCG
-//!    stagnation, and a Woodbury singularity; the recovery ladder
-//!    (downgrade → invalidate-and-retry → strategy fallback) absorbs
-//!    them all and the learned graph matches the fault-free run.
+//!    [`FaultPlan`] forcing a preconditioner breakdown and a PCG
+//!    stagnation; the recovery ladder (downgrade → invalidate-and-retry
+//!    → strategy fallback) absorbs them both and the learned graph
+//!    matches the fault-free run.
 //! 3. **Degraded serving** — serve the model with an injected writer
 //!    panic and a poisoned query while readers stream queries; the
 //!    supervised writer restarts from accumulated measurements, the
@@ -71,8 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = Arc::new(
         FaultPlan::new()
             .with_fault(FaultKind::PrecondBreakdown, 0)
-            .with_fault(FaultKind::PcgStagnation, 0)
-            .with_fault(FaultKind::WoodburySingular, 0),
+            .with_fault(FaultKind::PcgStagnation, 0),
     );
     let mut faulted = SglSession::from_owned(cfg.clone(), meas)?;
     faulted.set_fault_plan(Arc::clone(&plan));

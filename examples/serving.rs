@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A deliberately small iteration cap: the initial model is served
     // under-fitted, and each ingested batch's refinement sweeps keep
-    // adding edges — exercising the incremental (delta-update) solver
-    // revisions on every republish.
+    // adding edges, so every republish serves a new graph revision with
+    // a freshly built solver handle.
     let cfg = SglConfig::builder()
         .k(5)
         .r(5)
@@ -117,8 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.requests_coalesced,
     );
     println!(
-        "solver revisions: {} delta updates, {} full builds",
-        stats.revision.delta_updates, stats.revision.handles_built,
+        "solver revisions: {} handles built",
+        stats.revision.handles_built,
     );
 
     // Handoff back out: finish learning offline with everything absorbed.

@@ -142,9 +142,8 @@
 //! from streamed measurements, hand the session to an
 //! [`SglServer`](sgl_serve::SglServer): readers get lock-free,
 //! version-tagged snapshots (effective resistance, spectral
-//! coordinates, nearest cluster, signal interpolation), a writer thread
-//! ingests measurement batches and republishes via the solver's
-//! incremental revisions:
+//! coordinates, nearest cluster, signal interpolation), and a writer
+//! thread ingests measurement batches and republishes:
 //!
 //! ```
 //! use sgl::prelude::*;

@@ -533,6 +533,65 @@ fn ingest_backpressure_surfaces_as_429_with_exact_accounting() {
 /// Deterministic drain: shutdown stops accepting, answers everything
 /// admitted, absorbs every queued batch, and hands back a session that
 /// owns all accepted columns; the port then refuses new connections.
+/// `net.request_latency_us` records every answered request in
+/// microseconds, so sub-millisecond requests land in real histogram
+/// buckets instead of all reading 0. The histogram is process-global and
+/// the other tests in this file send requests of their own, so the
+/// measurement runs alone in a child process of this test binary.
+#[test]
+fn request_latency_is_recorded_in_microseconds() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "request_latency_histogram_counts_each_request",
+            "--ignored",
+        ])
+        .output()
+        .unwrap();
+    let log = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "isolated latency check failed:\n{log}"
+    );
+    assert!(
+        log.contains("1 passed"),
+        "isolated latency check did not run:\n{log}"
+    );
+}
+
+#[test]
+#[ignore = "reads a process-global histogram; run alone by request_latency_is_recorded_in_microseconds"]
+fn request_latency_histogram_counts_each_request() {
+    const REQUESTS: u64 = 20;
+    let _guard = sgl_trace::test_guard();
+    let hist = sgl_trace::histogram("net.request_latency_us");
+    hist.reset();
+    sgl_trace::enable();
+    let net = net_server(NetOptions::default());
+    let addr = net.local_addr();
+    for _ in 0..REQUESTS {
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    }
+    // The worker observes a request after writing its reply: wait until
+    // every request is recorded.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hist.count() < REQUESTS && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    sgl_trace::disable();
+    let p50_ms = net.stats().request_latency_p50_ms;
+    net.shutdown().unwrap();
+
+    assert_eq!(hist.count(), REQUESTS, "one observation per request");
+    assert!(hist.min() >= 1, "a request recorded 0 µs: {hist:?}");
+    let p50_us = hist.percentile(50.0) as f64;
+    let expect_us = p50_ms * 1000.0;
+    assert!(
+        p50_us <= 4.0 * expect_us && p50_us >= expect_us / 4.0,
+        "histogram p50 {p50_us} µs vs NetStats p50 {expect_us} µs"
+    );
+}
+
 #[test]
 fn graceful_shutdown_drains_and_hands_back_the_session() {
     let net = net_server(NetOptions::default());

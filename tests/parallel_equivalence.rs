@@ -124,152 +124,6 @@ fn pairwise_resistances_identical_at_any_thread_count() {
     assert_eq!(par_rs, serial);
 }
 
-/// Randomized delta-vs-fresh equivalence harness: starting from `start`,
-/// apply `rounds` random edge-insertion/reweight batches through
-/// `SolverContext::apply_deltas`, and after each batch check that the
-/// (possibly Woodbury-corrected) context solve matches a from-scratch
-/// factorization of the current graph to `rtol`-grade accuracy — at the
-/// requested thread count.
-fn check_delta_vs_fresh(
-    start: &Graph,
-    method: PolicyMethod,
-    threads: usize,
-    seed: u64,
-    rounds: usize,
-) {
-    use sgl_graph::EdgeDelta;
-    use sgl_solver::SolverContext;
-
-    let mut g = start.clone();
-    let n = g.num_nodes();
-    let policy = SolverPolicy::default()
-        .with_method(method)
-        .with_parallelism(threads);
-    let mut ctx = SolverContext::new(policy.clone());
-    ctx.handle_for(&g).unwrap();
-    let mut rng = Rng::seed_from_u64(seed);
-    for round in 0..rounds {
-        // A small random batch: mostly fresh chords, sometimes a
-        // reweight of an existing edge.
-        let mut deltas = Vec::new();
-        for _ in 0..3 {
-            let u = rng.below(n);
-            let v = rng.below(n);
-            if u == v {
-                continue;
-            }
-            if let Some(i) = g.find_edge(u, v) {
-                let e = g.edge(i);
-                let w = e.weight * (0.5 + rng.uniform());
-                g.set_weight(i, w);
-                deltas.push(EdgeDelta::reweight(e.u, e.v, e.weight, w));
-            } else {
-                let w = 0.2 + rng.uniform();
-                g.add_edge(u, v, w);
-                deltas.push(EdgeDelta::insert(u, v, w));
-            }
-        }
-        ctx.apply_deltas(&g, &deltas);
-        let mut b = rng.normal_vec(n);
-        vecops::project_out_mean(&mut b);
-        let x = ctx.handle_for(&g).unwrap().solve(&b).unwrap();
-        let fresh = policy.build_handle(&g).unwrap();
-        let y = fresh.solve(&b).unwrap();
-        let d = vecops::sub(&x, &y);
-        let rel = vecops::norm2(&d) / vecops::norm2(&y).max(1e-300);
-        assert!(
-            rel < 1e-7,
-            "{method:?} at {threads} threads, round {round}: \
-             delta-revised solve drifted {rel:.3e} from fresh factorization"
-        );
-    }
-    // The context must have actually exercised the incremental path at
-    // least once over the run (the default policy's rank cap is far
-    // above these batch sizes).
-    assert!(
-        ctx.revision_stats().delta_updates > 0,
-        "{method:?}: no delta batch was absorbed incrementally"
-    );
-}
-
-#[test]
-fn delta_revised_solves_match_fresh_factorizations() {
-    // Both graph-built PCG preconditioners (tree, AMG), at 1 thread
-    // and at N.
-    let grid = sgl_datasets::grid2d(7, 7);
-    for method in [PolicyMethod::TreePcg, PolicyMethod::AmgPcg] {
-        for threads in [1usize, 4] {
-            check_delta_vs_fresh(&grid, method, threads, 0xD17A, 5);
-        }
-    }
-    // From a near-tree, the tree preconditioner is exact, so the
-    // stale-preconditioner revisions run over an exact base.
-    for threads in [1usize, 4] {
-        check_delta_vs_fresh(&near_tree(), PolicyMethod::TreePcg, threads, 0xD17A, 5);
-    }
-}
-
-#[test]
-fn delta_revised_batch_solves_identical_at_any_thread_count() {
-    use sgl_graph::EdgeDelta;
-    use sgl_solver::SolverContext;
-
-    // The Woodbury-corrected handle honors the same determinism
-    // contract as the backend handles: batch solves are bit-identical
-    // across thread counts.
-    let mut g = sgl_datasets::grid2d(8, 8);
-    let mut ctx = SolverContext::new(SolverPolicy::default());
-    ctx.handle_for(&g).unwrap();
-    let mut deltas = Vec::new();
-    for &(u, v, w) in &[(0usize, 20usize, 0.9), (5, 40, 1.3), (17, 60, 0.4)] {
-        g.add_edge(u, v, w);
-        deltas.push(EdgeDelta::insert(u, v, w));
-    }
-    ctx.apply_deltas(&g, &deltas);
-    let handle = ctx.handle_for(&g).unwrap();
-    assert_eq!(handle.method_name(), "revision-stale-precond");
-    let mut rng = Rng::seed_from_u64(31);
-    let rhs: Vec<Vec<f64>> = (0..5)
-        .map(|_| {
-            let mut b = rng.normal_vec(64);
-            vecops::project_out_mean(&mut b);
-            b
-        })
-        .collect();
-    let serial = par::with_threads(1, || handle.solve_batch(&rhs).unwrap());
-    for threads in [2usize, 4] {
-        let par_xs = par::with_threads(threads, || handle.solve_batch(&rhs).unwrap());
-        assert_eq!(par_xs, serial, "threads = {threads}");
-    }
-}
-
-#[cfg(feature = "property-tests")]
-mod delta_proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// Property form of the delta-vs-fresh contract: any seed, any
-        /// preconditioner, any thread count — a Woodbury/stale-
-        /// preconditioned solve after `apply_deltas` matches a
-        /// from-scratch factorization to rtol.
-        #[test]
-        fn delta_solves_match_fresh(
-            seed in 0u64..1_000,
-            method_ix in 0usize..2,
-            threads in 1usize..5,
-        ) {
-            let method = [
-                PolicyMethod::TreePcg,
-                PolicyMethod::AmgPcg,
-            ][method_ix];
-            check_delta_vs_fresh(&sgl_datasets::grid2d(7, 7), method, threads, seed, 3);
-        }
-    }
-}
-
 #[test]
 fn served_snapshot_queries_identical_at_any_thread_count() {
     // The serving layer inherits the determinism contract: a pinned

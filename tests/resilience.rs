@@ -14,14 +14,13 @@ use sgl::prelude::*;
 use sgl_linalg::DenseMatrix;
 
 /// The targeted solver-fault schedule used across these tests: one
-/// preconditioner breakdown at the first build, one PCG stagnation, one
-/// Woodbury capacitance singularity — every solver-side recovery rung.
+/// preconditioner breakdown at the first build and one PCG stagnation —
+/// every solver-side recovery rung.
 fn solver_faults() -> Arc<FaultPlan> {
     Arc::new(
         FaultPlan::new()
             .with_fault(FaultKind::PrecondBreakdown, 0)
-            .with_fault(FaultKind::PcgStagnation, 0)
-            .with_fault(FaultKind::WoodburySingular, 0),
+            .with_fault(FaultKind::PcgStagnation, 0),
     )
 }
 
