@@ -644,7 +644,6 @@ fn main() {
             par::max_threads()
         );
     }
-    sgl_sfsgl::register();
     banner(
         "BENCH learn",
         "full learning loop at 1 thread vs N threads, with per-iteration resistance probes",

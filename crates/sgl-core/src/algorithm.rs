@@ -12,8 +12,8 @@
 //!
 //! [`Sgl`] is the one-shot entry point; it is a thin facade over
 //! [`SglSession`], which exposes the same
-//! loop step-by-step with swappable stage backends, observers, and
-//! incremental measurement batches.
+//! loop step-by-step with observers, incremental measurement batches,
+//! and a dense reference embedding.
 
 use crate::config::SglConfig;
 use crate::embedding::Embedding;

@@ -15,13 +15,14 @@
 //! through the deterministic [`par`] layer: the basis
 //! is bit-identical at any thread count.
 
-use sgl_core::SglError;
+use crate::coarsen::Coarsening;
+use crate::error::SglError;
+use crate::hierarchy::{HierarchyOptions, MultilevelHierarchy};
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
 use sgl_linalg::filter::{smoothed_test_vectors, FilterOptions};
 use sgl_linalg::operator::LinearOperator;
 use sgl_linalg::{par, DenseMatrix};
-use sgl_multilevel::{Coarsening, HierarchyOptions, MultilevelHierarchy};
 
 /// Knobs of [`band_basis`] (and of the backend that owns one).
 #[derive(Debug, Clone)]

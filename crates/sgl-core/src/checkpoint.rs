@@ -37,10 +37,11 @@
 //!
 //! Observers (process-local callbacks), fault plans (re-arm with
 //! [`SglSession::set_fault_plan`] if desired), and solver handles (see
-//! above). Stage backends are re-resolved from the config's strategy —
-//! a session that degraded Solver → SolverFree resumes solver-free,
-//! which requires the `sgl-sfsgl` factory to be registered in the
-//! restoring process.
+//! above). The Step-2 embedder is rebuilt from the config's strategy —
+//! a session that degraded Solver → SolverFree resumes solver-free, and
+//! a session pinned to
+//! [`with_dense_embedding`](SglSession::with_dense_embedding) resumes on
+//! its strategy's embedder.
 //!
 //! # Config fingerprint
 //!

@@ -17,7 +17,7 @@
 //! **bit-identical across thread counts and runs** — the determinism
 //! contract the multilevel hierarchy inherits.
 
-use sgl_core::SglError;
+use crate::error::SglError;
 use sgl_graph::coarsen::{contract_partition, prolongation_matrix, validate_partition};
 use sgl_graph::{AdjacencyCsr, Graph};
 use sgl_linalg::{vecops, CsrMatrix, DenseMatrix};

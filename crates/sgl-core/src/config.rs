@@ -134,8 +134,7 @@ pub struct SglConfig {
     /// pipeline.
     pub max_levels: usize,
     /// Which learning strategy drives the loop: the solver-backed
-    /// default, or the solver-free SF-SGL path (requires the
-    /// `sgl-sfsgl` crate — see
+    /// default, or the solver-free SF-SGL path (see
     /// [`LearnStrategyKind`]).
     pub strategy: LearnStrategyKind,
 }
@@ -465,8 +464,7 @@ impl SglConfigBuilder {
 
     /// Learning strategy: [`LearnStrategyKind::Solver`] (default) runs
     /// the classic solver-backed loop; [`LearnStrategyKind::SolverFree`]
-    /// runs the SF-SGL path (no Laplacian solves or factorizations —
-    /// requires `sgl_sfsgl::register()`).
+    /// runs the SF-SGL path (no Laplacian solves or factorizations).
     pub fn strategy(mut self, strategy: LearnStrategyKind) -> Self {
         self.cfg.strategy = strategy;
         self

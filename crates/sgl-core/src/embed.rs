@@ -1,8 +1,8 @@
 //! The solver-free Step-2 backend: banded Rayleigh–Ritz embeddings.
 //!
-//! [`BandedEigBackend`] implements
-//! [`EmbeddingBackend`](sgl_core::EmbeddingBackend) without ever touching
-//! the session's [`SolverContext`]: the embedding subspace comes from a
+//! [`BandedEigBackend`] is the [`Embedder::Banded`](crate::backend::Embedder::Banded)
+//! arm, and it never touches the session's
+//! [`SolverContext`](sgl_solver::SolverContext): the embedding subspace comes from a
 //! multilevel [band basis](crate::bands) (plus the previous iteration's
 //! eigenvector block as a warm start), and the eigenpairs from one
 //! matvec-only Rayleigh–Ritz projection
@@ -10,14 +10,14 @@
 //! finishes a full learn with `handles_built == 0` and `solves == 0`.
 
 use crate::bands::{band_basis, band_skeleton, BandBasisOptions};
-use sgl_core::embedding::{Embedding, EmbeddingOptions};
-use sgl_core::{SglConfig, SglError};
+use crate::coarsen::Coarsening;
+use crate::config::SglConfig;
+use crate::embedding::{Embedding, EmbeddingOptions};
+use crate::error::SglError;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
 use sgl_linalg::filter::{FilterOptions, FilteredSpectrumOptions};
 use sgl_linalg::{filtered_spectrum, DenseMatrix};
-use sgl_multilevel::Coarsening;
-use sgl_solver::SolverContext;
 use std::sync::Mutex;
 
 /// Solver-free spectral embedding backend (see the module docs).
@@ -29,25 +29,25 @@ use std::sync::Mutex;
 /// reuses one backend across hierarchy levels of different sizes.
 pub struct BandedEigBackend {
     /// Band generation knobs.
-    pub bands: BandBasisOptions,
+    bands: BandBasisOptions,
     /// Target shrink factor per skeleton level, in `(0, 1)`.
-    pub coarsening_ratio: f64,
+    coarsening_ratio: f64,
     /// Cap on skeleton depth (bands = levels, so this caps the bands).
-    pub max_levels: usize,
+    max_levels: usize,
     /// Stop coarsening at this many nodes.
-    pub coarsest_size: usize,
+    coarsest_size: usize,
     /// Extra Ritz directions beyond the requested width (absorbs basis
     /// redundancy; larger = more accurate low pairs, more dense work).
-    pub oversample: usize,
+    oversample: usize,
     /// Fresh smoothed test vectors the Rayleigh–Ritz step adds on top of
     /// the band basis.
-    pub fresh_vectors: usize,
+    fresh_vectors: usize,
     /// Total Rayleigh–Ritz passes: after the band-basis projection, each
     /// extra pass smooths the Ritz block with damped Jacobi and
     /// re-projects (filtered subspace iteration). High-frequency
     /// contamination — the dominant error of prolonged coarse vectors —
     /// decays geometrically per pass.
-    pub rr_passes: usize,
+    rr_passes: usize,
     skeleton: Mutex<Option<(usize, Vec<Coarsening>)>>,
 }
 
@@ -119,38 +119,18 @@ impl BandedEigBackend {
         *cache = Some((graph.num_nodes(), skeleton.clone()));
         Ok(skeleton)
     }
-}
 
-impl sgl_core::EmbeddingBackend for BandedEigBackend {
-    fn name(&self) -> &'static str {
-        "banded-eig"
-    }
-
-    fn embed(
+    /// Embed a connected graph that [`Embedder::embed`](crate::backend::Embedder::embed)
+    /// has already checked.
+    pub(crate) fn embed(
         &self,
         graph: &Graph,
         width: usize,
         shift: f64,
         opts: &EmbeddingOptions,
         warm_start: Option<&DenseMatrix>,
-        _ctx: &mut SolverContext,
     ) -> Result<Embedding, SglError> {
         let n = graph.num_nodes();
-        if n < 2 {
-            return Err(SglError::InvalidGraph(
-                "embedding needs at least two nodes".into(),
-            ));
-        }
-        if width + 1 >= n {
-            return Err(SglError::InvalidGraph(format!(
-                "embedding width {width} too large for {n} nodes"
-            )));
-        }
-        if !sgl_graph::traversal::is_connected(graph) {
-            return Err(SglError::InvalidGraph(
-                "embedding requires a connected graph".into(),
-            ));
-        }
         let skeleton = self.skeleton_for(graph)?;
         let basis = band_basis(graph, &skeleton, width + self.oversample, &self.bands);
         let mut columns: Vec<Vec<f64>> = (0..basis.ncols()).map(|j| basis.column(j)).collect();
@@ -220,11 +200,15 @@ impl sgl_core::EmbeddingBackend for BandedEigBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgl_core::{DenseEigBackend, EmbeddingBackend};
-    use sgl_solver::SolverPolicy;
+    use crate::backend::Embedder;
+    use sgl_solver::{SolverContext, SolverPolicy};
 
     fn ctx() -> SolverContext {
         SolverContext::new(SolverPolicy::default())
+    }
+
+    fn banded() -> Embedder {
+        Embedder::Banded(BandedEigBackend::default())
     }
 
     #[test]
@@ -232,12 +216,10 @@ mod tests {
         let g = sgl_datasets::grid2d(12, 12);
         let opts = EmbeddingOptions::default();
         let mut c = ctx();
-        let banded = BandedEigBackend::default()
-            .embed(&g, 5, 0.0, &opts, None, &mut c)
-            .unwrap();
+        let banded = banded().embed(&g, 5, 0.0, &opts, None, &mut c).unwrap();
         assert_eq!(c.handles_built(), 0, "banded embed must stay solver-free");
         assert_eq!(banded.solver_iterations, 0);
-        let exact = DenseEigBackend::default()
+        let exact = Embedder::Dense
             .embed(&g, 5, 0.0, &opts, None, &mut ctx())
             .unwrap();
         for (a, b) in banded.eigenvalues.iter().zip(&exact.eigenvalues) {
@@ -262,7 +244,7 @@ mod tests {
     fn warm_start_is_accepted_and_skeleton_is_cached() {
         let g = sgl_datasets::grid2d(10, 10);
         let opts = EmbeddingOptions::default();
-        let backend = BandedEigBackend::default();
+        let backend = banded();
         let mut c = ctx();
         let first = backend.embed(&g, 4, 0.0, &opts, None, &mut c).unwrap();
         let again = backend
@@ -277,7 +259,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_graphs() {
         let opts = EmbeddingOptions::default();
-        let backend = BandedEigBackend::default();
+        let backend = banded();
         let tiny = sgl_graph::Graph::from_edges(2, [(0, 1, 1.0)]);
         assert!(backend
             .embed(&tiny, 3, 0.0, &opts, None, &mut ctx())

@@ -10,6 +10,7 @@
 //! preconditioner is *not* used here: SGL adds precisely the
 //! highest-stretch off-tree edges, the worst case for tree support.)
 
+use crate::backend::Embedder;
 use crate::error::SglError;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
@@ -98,17 +99,11 @@ pub fn spectral_embedding_warm(
     warm_start: Option<&DenseMatrix>,
 ) -> Result<Embedding, SglError> {
     let mut ctx = SolverContext::new(SolverPolicy::default());
-    spectral_embedding_ctx(graph, width, shift, opts, warm_start, &mut ctx)
+    Embedder::Lobpcg.embed(graph, width, shift, opts, warm_start, &mut ctx)
 }
 
-/// [`spectral_embedding_warm`] drawing any needed shift-invert solver
-/// from a shared [`SolverContext`] — the session path. The context is
-/// only touched when LOBPCG stalls and the Lanczos fallback engages, so
-/// a converging run builds no solver at all.
-///
-/// # Errors
-/// See [`spectral_embedding`].
-pub fn spectral_embedding_ctx(
+/// The [`Embedder::Lobpcg`] arm; the caller has checked the input.
+pub(crate) fn lobpcg_embedding(
     graph: &Graph,
     width: usize,
     shift: f64,
@@ -117,21 +112,6 @@ pub fn spectral_embedding_ctx(
     ctx: &mut SolverContext,
 ) -> Result<Embedding, SglError> {
     let n = graph.num_nodes();
-    if n < 2 {
-        return Err(SglError::InvalidGraph(
-            "embedding needs at least two nodes".into(),
-        ));
-    }
-    if width + 1 >= n {
-        return Err(SglError::InvalidGraph(format!(
-            "embedding width {width} too large for {n} nodes"
-        )));
-    }
-    if !sgl_graph::traversal::is_connected(graph) {
-        return Err(SglError::InvalidGraph(
-            "embedding requires a connected graph".into(),
-        ));
-    }
     let op = LaplacianOp::new(graph);
     let precond = AmgHierarchy::build(graph);
     let ones = vec![1.0; n];

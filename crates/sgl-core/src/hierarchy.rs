@@ -10,7 +10,7 @@
 //! bit-identical across runs and thread counts.
 
 use crate::coarsen::{spectral_affinity_aggregate, AggregationOptions, Coarsening};
-use sgl_core::SglError;
+use crate::error::SglError;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
 use sgl_linalg::filter::{smoothed_test_vectors, FilterOptions};

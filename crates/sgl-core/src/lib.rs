@@ -29,23 +29,32 @@
 //! # The staged pipeline
 //!
 //! [`Sgl::learn`] is a facade over [`SglSession`], which runs the same
-//! loop one [`step`](SglSession::step) at a time with swappable stage
-//! backends ([`backend`]), per-iteration observers, and incremental
-//! measurement batches ([`SglSession::extend_measurements`]):
+//! loop one [`step`](SglSession::step) at a time, with per-iteration
+//! observers, incremental measurement batches
+//! ([`SglSession::extend_measurements`]), and an exact dense reference
+//! embedding for small graphs ([`SglSession::with_dense_embedding`]):
 //!
 //! ```
-//! use sgl_core::{DenseEigBackend, Measurements, SglConfig, SglSession};
+//! use sgl_core::{Measurements, SglConfig, SglSession};
 //!
 //! let truth = sgl_datasets::grid2d(6, 6);
 //! let meas = Measurements::generate(&truth, 15, 7)?;
 //! let mut session = SglSession::new(SglConfig::builder().tol(1e-6).build()?, &meas)?
-//!     .with_embedding_backend(Box::new(DenseEigBackend::default()));
+//!     .with_dense_embedding();
 //! session.observe(|r: &sgl_core::IterationRecord| eprintln!("smax = {:.2e}", r.smax));
 //! session.run_to_completion()?;
 //! let result = session.finish()?;
 //! assert!(result.converged);
 //! # Ok::<(), sgl_core::SglError>(())
 //! ```
+//!
+//! # Two strategies, one loop
+//!
+//! The config's [`LearnStrategyKind`] picks how Steps 2 and 5 get their
+//! spectra ([`strategy`]): the solver-backed path, or the solver-free
+//! SF-SGL path — banded multilevel embeddings ([`embed`], [`bands`]) on
+//! a spectral coarsening ([`coarsen`], [`hierarchy`]) and matvec-only
+//! scaling. Both run through the same [`SglSession`] loop.
 //!
 //! Beyond the learner itself the crate ships every instrument the paper's
 //! evaluation uses: the objective of eq. (2) ([`mod@objective`]), effective
@@ -56,12 +65,16 @@
 
 pub mod algorithm;
 pub mod backend;
+pub mod bands;
 pub mod checkpoint;
 pub mod clustering;
+pub mod coarsen;
 pub mod config;
 pub mod drawing;
+pub mod embed;
 pub mod embedding;
 pub mod error;
+pub mod hierarchy;
 pub mod measure;
 pub mod metrics;
 pub mod objective;
@@ -74,11 +87,9 @@ pub mod session;
 pub mod strategy;
 
 pub use algorithm::{IterationRecord, LearnResult, Sgl, StepTimings, StopVerdict};
-pub use backend::{
-    CandidateScorer, DenseEigBackend, EdgeScaler, EmbeddingBackend, LanczosBackend, NoScaler,
-    SensitivityThreshold, SpectralGradientScorer, SpectralScaler, StoppingRule,
-};
+pub use backend::Embedder;
 pub use config::{KnnSettings, SglConfig, SglConfigBuilder};
+pub use embed::BandedEigBackend;
 pub use embedding::{
     smallest_nonzero_eigenvalues, smallest_nonzero_eigenvalues_with, spectral_embedding, Embedding,
     EmbeddingOptions, SpectrumMethod,
@@ -103,10 +114,7 @@ pub use scaling::{
 };
 pub use sensitivity::{Candidate, CandidatePool};
 pub use session::{SessionObserver, SglSession, StepOutcome};
-pub use strategy::{
-    register_solver_free_strategy, resolve_strategy, solver_free_registered, LearnStrategy,
-    LearnStrategyKind, SolverFreeFactory, SolverStrategy,
-};
+pub use strategy::LearnStrategyKind;
 // The solve-layer vocabulary types, re-exported so configuring a session
 // does not require a direct sgl-solver dependency.
 pub use sgl_solver::{

@@ -4,11 +4,11 @@
 //! session exposes the same loop one iteration at a time, with three
 //! extra powers the monolithic entry point cannot offer:
 //!
-//! * **Swappable backends** — every stage is a trait object
-//!   ([`EmbeddingBackend`], [`CandidateScorer`], [`StoppingRule`],
-//!   [`EdgeScaler`]), so a dense reference eigensolver, a solver-free
-//!   scorer, or a custom stopping criterion drop in without forking the
-//!   loop.
+//! * **A dense reference embedding** —
+//!   [`SglSession::with_dense_embedding`] pins Step 2 to an exact dense
+//!   eigendecomposition, the small-graph reference the iterative
+//!   embedders are tested against. Otherwise Step 2 follows the config's
+//!   [`LearnStrategyKind`] ([`Embedder::for_config`]).
 //! * **Observers** — callbacks fire on every [`IterationRecord`] as it is
 //!   produced (progress bars, live plots, early telemetry) instead of
 //!   waiting for the final trace.
@@ -36,14 +36,14 @@
 //! ```
 
 use crate::algorithm::{IterationRecord, LearnResult, StepTimings, StopVerdict};
-use crate::backend::{CandidateScorer, EdgeScaler, EmbeddingBackend, StoppingRule};
+use crate::backend::Embedder;
 use crate::config::SglConfig;
 use crate::embedding::{Embedding, EmbeddingOptions};
 use crate::error::SglError;
 use crate::measure::Measurements;
-use crate::resistance::{build_resistance_estimator, ResistanceEstimator, ResistanceMethod};
+use crate::resistance::{build_resistance_estimator, ResistanceEstimator};
 use crate::sensitivity::{Candidate, CandidatePool};
-use crate::strategy::{resolve_strategy, solver_free_registered, LearnStrategyKind};
+use crate::strategy::LearnStrategyKind;
 use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::Graph;
 use sgl_knn::build_knn_graph;
@@ -59,10 +59,10 @@ use std::time::Instant;
 pub enum StepOutcome {
     /// Edges were added; the loop can continue.
     Progressed(IterationRecord),
-    /// The stopping rule fired (or no candidate cleared the tolerance);
-    /// the loop is done and converged.
+    /// `s_max` fell below tolerance (or no candidate cleared it); the
+    /// loop is done and converged.
     Converged(IterationRecord),
-    /// The candidate pool ran dry before the stopping rule fired.
+    /// The candidate pool ran dry before `s_max` fell below tolerance.
     /// `converged` reports whether the last observed `s_max` was already
     /// below tolerance.
     Exhausted {
@@ -79,8 +79,8 @@ pub enum StepOutcome {
 /// `FnMut(&IterationRecord)` closure; implement the trait directly when
 /// you also want the finish notification.
 ///
-/// Observers are `Send` (like the stage backends) so a session carrying
-/// them can be moved into a writer thread; share results back through
+/// Observers are `Send` so a session carrying them can be moved into a
+/// writer thread; share results back through
 /// `Arc<Mutex<…>>` or a channel sender rather than `Rc<RefCell<…>>`.
 pub trait SessionObserver: Send {
     /// Called exactly once per trace record, as it is produced.
@@ -98,10 +98,10 @@ impl<F: FnMut(&IterationRecord) + Send> SessionObserver for F {
 
 /// A stepwise SGL learning session (see the [module docs](self)).
 ///
-/// Construct with [`SglSession::new`], optionally swap stage backends
-/// with the `with_*` methods *before the first step*, then drive with
-/// [`step`](SglSession::step) / [`run`](SglSession::run) and finish with
-/// [`finish`](SglSession::finish).
+/// Construct with [`SglSession::new`], optionally pin the dense reference
+/// embedding with [`with_dense_embedding`](SglSession::with_dense_embedding),
+/// then drive with [`step`](SglSession::step) / [`run`](SglSession::run)
+/// and finish with [`finish`](SglSession::finish).
 pub struct SglSession<'m> {
     config: SglConfig,
     /// Borrowed for one-shot runs; promoted to owned only when
@@ -110,7 +110,7 @@ pub struct SglSession<'m> {
     knn_graph: Graph,
     graph: Graph,
     pool: CandidatePool,
-    /// Lazily computed so backends can be swapped after construction.
+    /// Lazily computed so the embedder can be pinned after construction.
     embedding: Option<Embedding>,
     trace: Vec<IterationRecord>,
     /// Steps taken since init or the last measurement extension (the
@@ -131,14 +131,8 @@ pub struct SglSession<'m> {
     /// learned-graph revision, shared by every stage and invalidated on
     /// edge insertion.
     solver: SolverContext,
-    backend: Box<dyn EmbeddingBackend>,
-    scorer: Box<dyn CandidateScorer>,
-    stopping: Box<dyn StoppingRule>,
-    scaler: Box<dyn EdgeScaler>,
-    /// Resistance estimator the strategy resolved for this session (the
-    /// solver-free strategy remaps solver-backed methods to the spectral
-    /// sketch).
-    resistance: ResistanceMethod,
+    /// Step 2: the config strategy's embedder, or the pinned dense one.
+    embedder: Embedder,
     observers: Vec<Box<dyn SessionObserver>>,
     /// Consecutive solver failures across steps (reset on any success) —
     /// the degradation trigger for the strategy fallback.
@@ -158,10 +152,7 @@ impl std::fmt::Debug for SglSession<'_> {
             .field("converged", &self.converged)
             .field("halted", &self.halted)
             .field("solver", &self.solver)
-            .field("backend", &self.backend)
-            .field("scorer", &self.scorer)
-            .field("stopping", &self.stopping)
-            .field("scaler", &self.scaler)
+            .field("embedder", &self.embedder)
             .finish()
     }
 }
@@ -169,8 +160,8 @@ impl std::fmt::Debug for SglSession<'_> {
 /// Everything a checkpoint must persist to resume a session
 /// bit-identically (see [`crate::checkpoint`]).
 ///
-/// Stage backends, observers, and solver handles are deliberately *not*
-/// state: backends are re-resolved from the config's strategy on
+/// The embedder, observers, and solver handles are deliberately *not*
+/// state: the embedder is rebuilt from the config's strategy on
 /// restore, observers cannot survive a process boundary, and the
 /// checkpoint acts as a solver **revision barrier** — the live session's
 /// context is invalidated at save time, so both the continuing session
@@ -286,14 +277,7 @@ impl<'m> SglSession<'m> {
         let graph = tree.to_graph(&knn_graph);
         let pool = CandidatePool::from_off_tree(&knn_graph, &tree, &measurements);
         let solver = SolverContext::new(config.solver.clone());
-        // The strategy bundles the stage backends; `with_*` swaps still
-        // override individual stages afterwards.
-        let strategy = resolve_strategy(&config)?;
-        let backend = strategy.embedding_backend(&config);
-        let scorer = strategy.scorer(&config);
-        let stopping = strategy.stopping_rule(&config);
-        let scaler = strategy.edge_scaler(&config);
-        let resistance = strategy.resistance_method(&config);
+        let embedder = Embedder::for_config(&config);
         Ok(SglSession {
             config,
             measurements,
@@ -309,45 +293,22 @@ impl<'m> SglSession<'m> {
             halted: false,
             verdict: StopVerdict::InProgress,
             solver,
-            backend,
-            scorer,
-            stopping,
-            scaler,
-            resistance,
+            embedder,
             observers: Vec::new(),
             solver_failures: 0,
             fallbacks_taken: 0,
         })
     }
 
-    /// Swap the embedding backend. Any cached embedding is discarded so
-    /// the next step embeds with the new backend (a mid-run swap loses
-    /// the warm start but never mixes backends).
+    /// Pin Step 2 to the exact dense eigendecomposition
+    /// ([`Embedder::Dense`]), which refuses graphs above the solver
+    /// policy's `dense_max_nodes`. Any cached embedding is discarded so
+    /// the next step embeds densely (a mid-run switch loses the warm
+    /// start but never mixes embedders).
     #[must_use]
-    pub fn with_embedding_backend(mut self, backend: Box<dyn EmbeddingBackend>) -> Self {
-        self.backend = backend;
+    pub fn with_dense_embedding(mut self) -> Self {
+        self.embedder = Embedder::Dense;
         self.embedding = None;
-        self
-    }
-
-    /// Swap the candidate scorer.
-    #[must_use]
-    pub fn with_scorer(mut self, scorer: Box<dyn CandidateScorer>) -> Self {
-        self.scorer = scorer;
-        self
-    }
-
-    /// Swap the stopping rule.
-    #[must_use]
-    pub fn with_stopping_rule(mut self, stopping: Box<dyn StoppingRule>) -> Self {
-        self.stopping = stopping;
-        self
-    }
-
-    /// Swap the edge scaler applied at [`finish`](SglSession::finish).
-    #[must_use]
-    pub fn with_edge_scaler(mut self, scaler: Box<dyn EdgeScaler>) -> Self {
-        self.scaler = scaler;
         self
     }
 
@@ -408,7 +369,7 @@ impl<'m> SglSession<'m> {
         self.fallbacks_taken
     }
 
-    /// Materialize the strategy-resolved [`ResistanceMethod`] for the
+    /// Materialize the strategy's [`ResistanceMethod`] for the
     /// *current* learned graph. [`ExactSolve`] and [`JlSketch`] draw the
     /// shared solver handle from the session's context;
     /// [`SpectralSketch`] stays solver-free, so a session configured
@@ -430,7 +391,9 @@ impl<'m> SglSession<'m> {
         with_session_threads(self.config.parallelism, || {
             build_resistance_estimator(
                 &self.graph,
-                self.resistance,
+                self.config
+                    .strategy
+                    .resistance_method(self.config.resistance),
                 &mut self.solver,
                 self.config.seed,
             )
@@ -443,7 +406,7 @@ impl<'m> SglSession<'m> {
         self.halted
     }
 
-    /// Whether the stopping rule declared convergence.
+    /// Whether the loop converged (`s_max` fell below `tol`).
     pub fn converged(&self) -> bool {
         self.converged
     }
@@ -510,13 +473,13 @@ impl<'m> SglSession<'m> {
         Ok(self.embedding.as_ref().expect("embedding just ensured"))
     }
 
-    /// Embed the current graph through the session's backend, counting
+    /// Embed the current graph through the session's embedder, counting
     /// the eigensolver iterations it spent.
     fn embed(&mut self, warm_start: Option<&DenseMatrix>) -> Result<Embedding, SglError> {
         let width = self.embedding_width();
         let shift = self.config.shift();
         let opts = self.embedding_options();
-        let emb = self.backend.embed(
+        let emb = self.embedder.embed(
             &self.graph,
             width,
             shift,
@@ -561,10 +524,9 @@ impl<'m> SglSession<'m> {
     /// Solver failures (PCG stagnation, factorization drift — real or
     /// injected via [`SglSession::set_fault_plan`]) do not kill the
     /// session: the solver state is invalidated and the step retried on
-    /// a fresh factorization. If the retry fails too, the session
-    /// attempts the strategy fallback (Solver → SolverFree, when the
-    /// `sgl-sfsgl` factory is registered) and retries once more; only
-    /// when every rung is exhausted does the error propagate.
+    /// a fresh factorization. If the retry fails too, a solver-strategy
+    /// session falls back to the solver-free strategy and retries once
+    /// more; only when every rung is exhausted does the error propagate.
     ///
     /// # Errors
     /// Propagates embedding/solver failures that survive recovery.
@@ -603,26 +565,14 @@ impl<'m> SglSession<'m> {
 
     /// Swap the session onto the solver-free strategy after repeated
     /// solver failures. Returns `false` when the session is already
-    /// solver-free or no factory is registered (see
-    /// [`register_solver_free_strategy`](crate::strategy::register_solver_free_strategy)).
+    /// solver-free.
     fn try_strategy_fallback(&mut self) -> bool {
-        if self.config.strategy != LearnStrategyKind::Solver || !solver_free_registered() {
+        if self.config.strategy != LearnStrategyKind::Solver {
             return false;
         }
         self.config.strategy = LearnStrategyKind::SolverFree;
-        let strategy = match resolve_strategy(&self.config) {
-            Ok(s) => s,
-            Err(_) => {
-                self.config.strategy = LearnStrategyKind::Solver;
-                return false;
-            }
-        };
-        self.backend = strategy.embedding_backend(&self.config);
-        self.scorer = strategy.scorer(&self.config);
-        self.stopping = strategy.stopping_rule(&self.config);
-        self.scaler = strategy.edge_scaler(&self.config);
-        self.resistance = strategy.resistance_method(&self.config);
-        // The cached embedding came from the old backend; recompute so
+        self.embedder = Embedder::for_config(&self.config);
+        // The cached embedding came from the old embedder; recompute so
         // strategies never mix within one warm-start chain.
         self.embedding = None;
         self.solver.invalidate();
@@ -648,18 +598,18 @@ impl<'m> SglSession<'m> {
         let score_sp = sgl_trace::span!("score");
         self.ensure_embedding()?;
 
+        let tol = self.config.tol;
         if self.pool.is_empty() {
             // Judge convergence only from records of the current epoch:
             // earlier ones were scored against a smaller measurement set.
-            let iteration = self.trace.len() + 1;
             self.converged = match self.trace[self.epoch_start..].last() {
-                Some(r) => self.stopping.is_converged(iteration, r.smax),
+                Some(r) => r.smax < tol,
                 // Never scored this epoch: before any extension this
                 // mirrors the seed semantics (an `smax` of 0 for an empty
                 // trace); after an extension an empty pool means the
                 // refreshed candidate graph added nothing new, which is
                 // convergence by definition.
-                None if self.epoch_start == 0 => self.stopping.is_converged(iteration, 0.0),
+                None if self.epoch_start == 0 => 0.0 < tol,
                 None => true,
             };
             self.halted = true;
@@ -669,16 +619,15 @@ impl<'m> SglSession<'m> {
             });
         }
 
-        // Steps 2–3: embed and score.
+        // Steps 2–3: embed and score by eq. (13).
         let embedding = self.embedding.as_ref().expect("embedding ensured above");
-        let sens = self.scorer.score(&self.pool, embedding);
+        let sens = self.pool.sensitivities(embedding);
         let smax = sens.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         drop(score_sp);
         let score_s = phase_start.elapsed().as_secs_f64();
 
-        // Step 4: convergence check.
-        let iteration = self.trace.len() + 1;
-        if self.stopping.is_converged(iteration, smax) {
+        // Step 4: stop when s_max < tol.
+        if smax < tol {
             let record = self.push_record(
                 smax,
                 0,
@@ -696,11 +645,7 @@ impl<'m> SglSession<'m> {
         // Densification: add the top ⌈Nβ⌉ candidates above tolerance.
         let densify_start = Instant::now();
         let densify_sp = sgl_trace::span!("densify");
-        let picked = self.pool.select_top(
-            &sens,
-            self.edges_per_iteration(),
-            self.stopping.selection_tol(),
-        );
+        let picked = self.pool.select_top(&sens, self.edges_per_iteration(), tol);
         let added = picked.len();
         // A new graph revision: the solver context sees it moved and
         // builds a fresh handle on its next request.
@@ -824,17 +769,16 @@ impl<'m> SglSession<'m> {
         }
         let scale_factor = if self.config.scale_edges {
             let _sp = sgl_trace::span!("scale");
+            let strategy = self.config.strategy;
             let attempt = with_session_threads(parallelism, || {
-                self.scaler
-                    .scale(&mut self.graph, &self.measurements, &mut self.solver)
+                strategy.scale_edges(&mut self.graph, &self.measurements, &mut self.solver)
             });
             match attempt {
                 Ok(f) => f,
                 Err(SglError::Linalg(_)) => {
                     self.solver.invalidate();
                     with_session_threads(parallelism, || {
-                        self.scaler
-                            .scale(&mut self.graph, &self.measurements, &mut self.solver)
+                        strategy.scale_edges(&mut self.graph, &self.measurements, &mut self.solver)
                     })?
                 }
                 Err(e) => return Err(e),
@@ -906,9 +850,9 @@ impl<'m> SglSession<'m> {
 }
 
 impl SglSession<'static> {
-    /// Rebuild a session from a [`SessionState`] snapshot: stage
-    /// backends are re-resolved from the config's (possibly degraded)
-    /// strategy, the solver context starts fresh — matching the
+    /// Rebuild a session from a [`SessionState`] snapshot: the embedder
+    /// is rebuilt from the config's (possibly degraded) strategy, the
+    /// solver context starts fresh — matching the
     /// revision barrier the saving session went through — and the
     /// measurements are owned, so the result is `'static`.
     pub(crate) fn from_state(state: SessionState) -> Result<SglSession<'static>, SglError> {
@@ -932,12 +876,7 @@ impl SglSession<'static> {
         } = state;
         config.validate()?;
         let solver = SolverContext::new(config.solver.clone());
-        let strategy = resolve_strategy(&config)?;
-        let backend = strategy.embedding_backend(&config);
-        let scorer = strategy.scorer(&config);
-        let stopping = strategy.stopping_rule(&config);
-        let scaler = strategy.edge_scaler(&config);
-        let resistance = strategy.resistance_method(&config);
+        let embedder = Embedder::for_config(&config);
         Ok(SglSession {
             config,
             measurements: Cow::Owned(measurements),
@@ -953,11 +892,7 @@ impl SglSession<'static> {
             halted,
             verdict,
             solver,
-            backend,
-            scorer,
-            stopping,
-            scaler,
-            resistance,
+            embedder,
             observers: Vec::new(),
             solver_failures,
             fallbacks_taken,
@@ -969,8 +904,8 @@ impl SglSession<'static> {
 mod tests {
     use super::*;
     use crate::algorithm::Sgl;
-    use crate::backend::{DenseEigBackend, NoScaler};
     use sgl_datasets::grid2d;
+    use sgl_solver::FaultKind;
     use std::sync::{Arc, Mutex};
 
     fn quick_config() -> SglConfig {
@@ -1028,8 +963,8 @@ mod tests {
 
     #[test]
     fn session_and_estimator_are_send() {
-        // The serving handoff contract: a whole session (with its boxed
-        // stage backends and observers) moves into a writer thread, and
+        // The serving handoff contract: a whole session (with its
+        // embedder and observers) moves into a writer thread, and
         // a boxed estimator is shared across reader threads.
         fn assert_send<T: Send>() {}
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1119,9 +1054,7 @@ mod tests {
     fn swapped_scaler_skips_scaling() {
         let truth = grid2d(6, 6);
         let meas = Measurements::generate(&truth, 15, 14).unwrap();
-        let session = SglSession::new(quick_config(), &meas)
-            .unwrap()
-            .with_edge_scaler(Box::new(NoScaler));
+        let session = SglSession::new(quick_config().with_scale_edges(false), &meas).unwrap();
         let result = session.run().unwrap();
         assert_eq!(result.scale_factor, None);
     }
@@ -1132,7 +1065,7 @@ mod tests {
         let meas = Measurements::generate(&truth, 15, 15).unwrap();
         let session = SglSession::new(quick_config(), &meas)
             .unwrap()
-            .with_embedding_backend(Box::new(DenseEigBackend::default()));
+            .with_dense_embedding();
         let result = session.run().unwrap();
         assert!(sgl_graph::traversal::is_connected(&result.graph));
         assert!(!result.trace.is_empty());
@@ -1174,54 +1107,43 @@ mod tests {
     }
 
     #[test]
-    fn swapped_stopping_rule_owns_both_thresholds() {
-        use crate::backend::StoppingRule;
-
-        #[derive(Debug)]
-        struct Strict {
-            tol: f64,
-        }
-        impl StoppingRule for Strict {
-            fn is_converged(&self, _iteration: usize, smax: f64) -> bool {
-                smax < self.tol
-            }
-            fn selection_tol(&self) -> f64 {
-                self.tol
-            }
-        }
-
-        let truth = grid2d(8, 8);
-        let meas = Measurements::generate(&truth, 20, 19).unwrap();
-        // Loose config tolerance, strict rule: the rule must win — the
-        // session keeps densifying past the config threshold.
-        let cfg = quick_config().with_tol(1e-2);
-        let loose = SglSession::new(cfg.clone(), &meas).unwrap().run().unwrap();
-        let strict = SglSession::new(cfg, &meas)
-            .unwrap()
-            .with_stopping_rule(Box::new(Strict { tol: 1e-6 }))
-            .run()
-            .unwrap();
-        assert!(
-            strict.trace.len() > loose.trace.len(),
-            "strict rule should run longer: {} vs {}",
-            strict.trace.len(),
-            loose.trace.len()
-        );
-        let last = strict.final_smax().unwrap();
-        assert!(last < 1e-6, "strict rule ignored: final smax {last}");
-    }
-
-    #[test]
-    fn unregistered_solver_free_fails_at_init() {
-        use crate::strategy::LearnStrategyKind;
+    fn solver_free_strategy_resolves_from_the_config() {
         let truth = grid2d(6, 6);
         let meas = Measurements::generate(&truth, 10, 20).unwrap();
         let cfg = quick_config().with_strategy(LearnStrategyKind::SolverFree);
-        let err = SglSession::new(cfg, &meas).unwrap_err();
-        assert!(
-            err.to_string().contains("sgl_sfsgl::register"),
-            "unhelpful error: {err}"
-        );
+        let mut session = SglSession::new(cfg, &meas).unwrap();
+        session.run_to_completion().unwrap();
+        assert_eq!(session.solver_context().handles_built(), 0);
+        let result = session.finish().unwrap();
+        assert_eq!(result.solver_stats.solves, 0);
+        assert!(result.scale_factor.is_some(), "Step 5 ran solver-free");
+    }
+
+    #[test]
+    fn solver_failures_fall_back_to_solver_free() {
+        // LOBPCG cannot reach 1e-12 in two iterations, so every embed
+        // takes the shift-invert fallback, and every PCG solve there
+        // stagnates: the fresh-factorization retry fails too, and the
+        // session must take the strategy fallback rung.
+        let mut plan = FaultPlan::new();
+        for nth in 0..256 {
+            plan = plan.with_fault(FaultKind::PcgStagnation, nth);
+        }
+        let truth = grid2d(8, 8);
+        let meas = Measurements::generate(&truth, 18, 9).unwrap();
+        let cfg = SglConfig::builder()
+            .tol(1e-6)
+            .max_iterations(80)
+            .eig_tol(1e-12)
+            .eig_max_iter(2)
+            .build()
+            .unwrap();
+        let mut session = SglSession::new(cfg, &meas).unwrap();
+        session.set_fault_plan(Arc::new(plan));
+        session.run_to_completion().unwrap();
+        assert_eq!(session.config().strategy, LearnStrategyKind::SolverFree);
+        let result = session.finish().unwrap();
+        assert_eq!(result.fallbacks_taken, 1);
     }
 
     #[test]
@@ -1265,8 +1187,8 @@ mod tests {
             session.step().unwrap(),
             StepOutcome::Progressed(_)
         ));
-        // Swapping after a step must not reuse the stale embedding.
-        session = session.with_embedding_backend(Box::new(DenseEigBackend::default()));
+        // Switching after a step must not reuse the stale embedding.
+        session = session.with_dense_embedding();
         session.run_to_completion().unwrap();
         let result = session.finish().unwrap();
         assert!(result.converged);

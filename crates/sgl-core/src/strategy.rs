@@ -1,56 +1,49 @@
-//! Pluggable learning strategies: how the densification loop obtains its
-//! spectral information.
+//! The two learning strategies: how the loop obtains its spectra.
 //!
-//! The SGL loop (Algorithm 1) is strategy-agnostic: Steps 2–5 only need
-//! an embedding, candidate scores, a stopping rule, and an edge scaler.
-//! A [`LearnStrategy`] bundles one coherent choice of those stage
-//! backends:
+//! Algorithm 1 is one fixed loop — embed, score by eq. (13), stop at
+//! `s_max < tol`, densify, scale by eqs. (21–23) — and SF-SGL changes
+//! only how Steps 2 and 5 get their spectra. So the strategy is plain
+//! data, [`LearnStrategyKind`], and each step that depends on it
+//! `match`es on it:
 //!
-//! * [`SolverStrategy`] — the classic solver-backed path: LOBPCG/Lanczos
-//!   embedding with shift-invert fallback through the session's
-//!   [`SolverContext`], solver-based Step-5
-//!   scaling, and the configured resistance estimator.
-//! * `SolverFreeStrategy` (in the `sgl-sfsgl` crate) — the SF-SGL path:
-//!   multilevel band-filtered embeddings, matvec-only scaling, and the
-//!   spectral-sketch resistance estimator. No Laplacian system is ever
-//!   solved and no factorization is ever built.
+//! * [`LearnStrategyKind::Solver`] — LOBPCG embedding with a
+//!   shift-invert fallback through the session's [`SolverContext`],
+//!   solve-based Step-5 scaling and weight refinement, and the
+//!   configured resistance estimator.
+//! * [`LearnStrategyKind::SolverFree`] — the SF-SGL path: multilevel
+//!   band-filtered embeddings ([`BandedEigBackend`]), matvec-only
+//!   scaling and refinement, and the spectral-sketch resistance
+//!   estimator. No Laplacian system is ever solved and no factorization
+//!   is ever built.
 //!
-//! The strategy is selected by data
+//! The strategy is selected by config
 //! ([`SglConfig::builder().strategy(…)`](crate::SglConfigBuilder::strategy)),
 //! so the facade, the serving writer, `learn_multilevel`, and the
-//! benches run either path unchanged. Because `sgl-core` sits *below*
-//! `sgl-sfsgl` in the crate graph, the solver-free implementation
-//! registers itself here at startup ([`register_solver_free_strategy`],
-//! wrapped by `sgl_sfsgl::register()`); resolving
-//! [`LearnStrategyKind::SolverFree`] before registration is a
-//! configuration error with a pointer to that call.
+//! benches run either path unchanged. Step 2 is
+//! [`Embedder::for_config`](crate::backend::Embedder::for_config); Step 5,
+//! refinement and the resistance estimator are the methods below.
+//!
+//! [`BandedEigBackend`]: crate::embed::BandedEigBackend
 
-use crate::backend::{
-    CandidateScorer, EdgeScaler, EmbeddingBackend, LanczosBackend, SensitivityThreshold,
-    SpectralGradientScorer, SpectralScaler, StoppingRule,
-};
-use crate::config::SglConfig;
 use crate::error::SglError;
 use crate::measure::Measurements;
-use crate::refine::{refine_weights_with, RefineOptions, RefineRecord};
+use crate::refine::{refine_weights_solver_free, refine_weights_with, RefineOptions, RefineRecord};
 use crate::resistance::ResistanceMethod;
+use crate::scaling::{solver_free_edge_scaling, spectral_edge_scaling_with};
 use sgl_graph::Graph;
 use sgl_solver::SolverContext;
-use std::sync::OnceLock;
 
-/// Which [`LearnStrategy`] a session should run — plain data, carried by
+/// Which learning strategy a session runs — plain data, carried by
 /// [`SglConfig::strategy`](crate::SglConfig::strategy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnStrategyKind {
-    /// The solver-backed loop (the paper's Algorithm 1 as shipped since
-    /// PR 1): eigensolves may fall back to shift-invert through the
-    /// session's solver context, and Step 5 solves `L x̃ = y`.
+    /// The solver-backed loop of the paper's Algorithm 1: eigensolves
+    /// may fall back to shift-invert through the session's solver
+    /// context, and Step 5 solves `L x̃ = y`.
     #[default]
     Solver,
     /// The solver-free SF-SGL loop: every solve is replaced by filtered
-    /// matvecs. Requires the `sgl-sfsgl` crate (call
-    /// `sgl_sfsgl::register()` once, or construct sessions through that
-    /// crate's helpers / the `sgl` facade prelude).
+    /// matvecs.
     SolverFree,
 }
 
@@ -62,123 +55,75 @@ impl LearnStrategyKind {
             LearnStrategyKind::SolverFree => "solver-free",
         }
     }
-}
 
-/// One coherent bundle of stage backends for the learning loop.
-///
-/// Implementations must be cheap to construct — a session resolves its
-/// strategy once at init and a multilevel run once per V-cycle.
-pub trait LearnStrategy: std::fmt::Debug + Send + Sync {
-    /// Short diagnostic name.
-    fn name(&self) -> &'static str;
-
-    /// The kind this strategy implements.
-    fn kind(&self) -> LearnStrategyKind;
-
-    /// Step-2 embedding backend.
-    fn embedding_backend(&self, config: &SglConfig) -> Box<dyn EmbeddingBackend>;
-
-    /// Step-3 candidate scorer. Both shipped strategies score by eq. (13)
-    /// on the embedding, which is already solver-free.
-    fn scorer(&self, _config: &SglConfig) -> Box<dyn CandidateScorer> {
-        Box::new(SpectralGradientScorer)
+    /// Step 5: rescale `graph` against the measurements in place and
+    /// return the applied factor — eqs. (21–23) through a handle drawn
+    /// from `ctx`, or the matvec-only CG recurrence of
+    /// [`solver_free_edge_scaling`], which never consults `ctx`. Skipped
+    /// (`None`) for voltage-only measurements.
+    ///
+    /// # Errors
+    /// Propagates solver failures.
+    pub fn scale_edges(
+        self,
+        graph: &mut Graph,
+        measurements: &Measurements,
+        ctx: &mut SolverContext,
+    ) -> Result<Option<f64>, SglError> {
+        if measurements.currents().is_none() {
+            return Ok(None);
+        }
+        let factor = match self {
+            LearnStrategyKind::Solver => {
+                let handle = ctx.handle_for(graph)?;
+                spectral_edge_scaling_with(graph, measurements, handle.as_ref())?
+            }
+            LearnStrategyKind::SolverFree => solver_free_edge_scaling(graph, measurements)?,
+        };
+        Ok(Some(factor))
     }
 
-    /// Step-4 stopping rule.
-    fn stopping_rule(&self, config: &SglConfig) -> Box<dyn StoppingRule> {
-        Box::new(SensitivityThreshold { tol: config.tol })
-    }
-
-    /// Step-5 edge scaler.
-    fn edge_scaler(&self, config: &SglConfig) -> Box<dyn EdgeScaler>;
-
-    /// Which effective-resistance estimator sessions materialize; the
-    /// default honors the configured method unchanged.
-    fn resistance_method(&self, config: &SglConfig) -> ResistanceMethod {
-        config.resistance
-    }
-
-    /// Post-densification weight refinement (used by the multilevel
-    /// V-cycle between levels). The default is the solver-backed
-    /// JL-sketch fixed point of [`refine_weights_with`].
+    /// Post-densification weight refinement (the multilevel V-cycle runs
+    /// it between levels): the JL-sketch fixed point of
+    /// [`refine_weights_with`] through `ctx`, or the filtered-sketch
+    /// [`refine_weights_solver_free`], which never consults `ctx`.
     ///
     /// # Errors
     /// Propagates solver/estimator failures.
-    fn refine_weights(
-        &self,
+    pub fn refine_weights(
+        self,
         graph: &mut Graph,
         measurements: &Measurements,
         opts: &RefineOptions,
         ctx: &mut SolverContext,
     ) -> Result<Vec<RefineRecord>, SglError> {
-        refine_weights_with(graph, measurements, opts, ctx)
-    }
-}
-
-/// The solver-backed strategy: exactly the stage backends sessions have
-/// always installed by default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStrategy;
-
-impl LearnStrategy for SolverStrategy {
-    fn name(&self) -> &'static str {
-        "solver"
+        match self {
+            LearnStrategyKind::Solver => refine_weights_with(graph, measurements, opts, ctx),
+            LearnStrategyKind::SolverFree => refine_weights_solver_free(graph, measurements, opts),
+        }
     }
 
-    fn kind(&self) -> LearnStrategyKind {
-        LearnStrategyKind::Solver
-    }
-
-    fn embedding_backend(&self, _config: &SglConfig) -> Box<dyn EmbeddingBackend> {
-        Box::new(LanczosBackend)
-    }
-
-    fn edge_scaler(&self, _config: &SglConfig) -> Box<dyn EdgeScaler> {
-        Box::new(SpectralScaler)
-    }
-}
-
-/// Factory signature for the registered solver-free strategy.
-pub type SolverFreeFactory = fn(&SglConfig) -> Box<dyn LearnStrategy>;
-
-static SOLVER_FREE_FACTORY: OnceLock<SolverFreeFactory> = OnceLock::new();
-
-/// Register the factory behind [`LearnStrategyKind::SolverFree`].
-/// Idempotent — the first registration wins; later calls are no-ops.
-/// Called by `sgl_sfsgl::register()`; downstream code should use that.
-pub fn register_solver_free_strategy(factory: SolverFreeFactory) {
-    let _ = SOLVER_FREE_FACTORY.set(factory);
-}
-
-/// Whether a solver-free factory has been registered in this process.
-pub fn solver_free_registered() -> bool {
-    SOLVER_FREE_FACTORY.get().is_some()
-}
-
-/// Resolve the strategy selected by `config.strategy`.
-///
-/// # Errors
-/// Returns [`SglError::InvalidConfig`] when
-/// [`LearnStrategyKind::SolverFree`] is requested but no factory has
-/// been registered (the `sgl-sfsgl` crate was never initialized).
-pub fn resolve_strategy(config: &SglConfig) -> Result<Box<dyn LearnStrategy>, SglError> {
-    match config.strategy {
-        LearnStrategyKind::Solver => Ok(Box::new(SolverStrategy)),
-        LearnStrategyKind::SolverFree => match SOLVER_FREE_FACTORY.get() {
-            Some(factory) => Ok(factory(config)),
-            None => Err(SglError::InvalidConfig(
-                "solver-free strategy requested but not registered: call \
-                 sgl_sfsgl::register() once at startup (or construct the session \
-                 through sgl_sfsgl / the sgl facade prelude)"
-                    .into(),
-            )),
-        },
+    /// The resistance estimator sessions materialize for the
+    /// `configured` method. The solver strategy honors it unchanged.
+    /// Exact solves and the JL sketch both run Laplacian systems, so the
+    /// solver-free strategy maps them onto the auto-width spectral
+    /// sketch, the one estimator that stays matvec-only; an explicit
+    /// sketch width is honored.
+    pub fn resistance_method(self, configured: ResistanceMethod) -> ResistanceMethod {
+        match (self, configured) {
+            (LearnStrategyKind::Solver, method) => method,
+            (LearnStrategyKind::SolverFree, ResistanceMethod::SpectralSketch { width }) => {
+                ResistanceMethod::SpectralSketch { width }
+            }
+            (LearnStrategyKind::SolverFree, _) => ResistanceMethod::SpectralSketch { width: 0 },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgl_solver::SolverPolicy;
 
     #[test]
     fn kind_labels_are_stable() {
@@ -188,28 +133,52 @@ mod tests {
     }
 
     #[test]
-    fn solver_strategy_matches_session_defaults() {
-        let cfg = SglConfig::default();
-        let s = resolve_strategy(&cfg).unwrap();
-        assert_eq!(s.name(), "solver");
-        assert_eq!(s.kind(), LearnStrategyKind::Solver);
-        // The bundled backends are the historical session defaults.
-        assert_eq!(format!("{:?}", s.embedding_backend(&cfg)), "LanczosBackend");
-        assert_eq!(format!("{:?}", s.edge_scaler(&cfg)), "SpectralScaler");
-        assert_eq!(format!("{:?}", s.scorer(&cfg)), "SpectralGradientScorer");
-        assert_eq!(s.resistance_method(&cfg), cfg.resistance);
+    fn solver_bound_resistance_methods_are_remapped() {
+        let s = LearnStrategyKind::SolverFree;
+        assert_eq!(
+            s.resistance_method(ResistanceMethod::ExactSolve),
+            ResistanceMethod::SpectralSketch { width: 0 }
+        );
+        assert_eq!(
+            s.resistance_method(ResistanceMethod::JlSketch { projections: 32 }),
+            ResistanceMethod::SpectralSketch { width: 0 }
+        );
+        assert_eq!(
+            s.resistance_method(ResistanceMethod::SpectralSketch { width: 12 }),
+            ResistanceMethod::SpectralSketch { width: 12 }
+        );
+        // The solver strategy keeps whatever was configured.
+        assert_eq!(
+            LearnStrategyKind::Solver.resistance_method(ResistanceMethod::ExactSolve),
+            ResistanceMethod::ExactSolve
+        );
     }
 
     #[test]
-    fn unregistered_solver_free_is_a_config_error() {
-        // Note: sgl-core's own test binary never registers a factory, so
-        // resolution must fail with actionable guidance. (Crates that do
-        // register — sgl-sfsgl and above — test the success path.)
-        let cfg = SglConfig::default().with_strategy(LearnStrategyKind::SolverFree);
-        let err = resolve_strategy(&cfg).unwrap_err();
-        assert!(
-            err.to_string().contains("sgl_sfsgl::register"),
-            "unhelpful error: {err}"
-        );
+    fn scaler_skips_voltage_only_and_builds_nothing() {
+        let g = sgl_datasets::grid2d(5, 5);
+        let meas = Measurements::generate(&g, 6, 1).unwrap();
+        let volts = Measurements::from_voltages(meas.voltages().clone()).unwrap();
+        for (kind, handles) in [
+            (LearnStrategyKind::Solver, 1),
+            (LearnStrategyKind::SolverFree, 0),
+        ] {
+            let mut ctx = SolverContext::new(SolverPolicy::default());
+            let mut learned = g.clone();
+            assert_eq!(
+                kind.scale_edges(&mut learned, &volts, &mut ctx).unwrap(),
+                None,
+                "{kind:?}"
+            );
+            // The voltage-only skip never builds a solver.
+            assert_eq!(ctx.handles_built(), 0, "{kind:?}");
+            assert!(kind
+                .scale_edges(&mut learned, &meas, &mut ctx)
+                .unwrap()
+                .is_some());
+            // Only the solver strategy solves to scale.
+            assert_eq!(ctx.handles_built(), handles, "{kind:?}");
+            assert_eq!(ctx.cumulative_stats().solves > 0, handles > 0, "{kind:?}");
+        }
     }
 }

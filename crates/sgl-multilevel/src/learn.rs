@@ -40,8 +40,8 @@ use crate::hierarchy::{HierarchyOptions, MultilevelHierarchy};
 use crate::sparsify::{sparsify_by_resistance, SparsifyOptions};
 use sgl_core::embedding::EmbeddingOptions;
 use sgl_core::{
-    resolve_strategy, CandidatePool, EmbeddingBackend, LearnResult, LearnStrategy, Measurements,
-    RefineOptions, SglConfig, SglError, SglSession,
+    CandidatePool, Embedder, LearnResult, Measurements, RefineOptions, SglConfig, SglError,
+    SglSession,
 };
 use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::Graph;
@@ -229,12 +229,11 @@ fn learn_inner(
     candidate: Graph,
     opts: &MultilevelOptions,
 ) -> Result<MultilevelResult, SglError> {
-    // One strategy drives the whole V-cycle: the coarse session resolves
-    // it itself from the config, and the upward sweep's embeds, weight
-    // refinement, and finest-level Step 5 all route through it — so a
+    // One strategy drives the whole V-cycle: the coarse session runs it
+    // from the config, and the upward sweep's embeds, weight refinement,
+    // and finest-level Step 5 all follow `config.strategy` — so a
     // solver-free config keeps the entire multilevel run at
     // `solves == 0` / `handles_built == 0`.
-    let strategy = resolve_strategy(config)?;
     let hierarchy = {
         let _sp = sgl_trace::span!("coarsen", count = candidate.num_nodes());
         MultilevelHierarchy::build(
@@ -267,7 +266,8 @@ fn learn_inner(
     // the right algorithms — machine-precision eigenpairs, a direct
     // factorization instead of iterations, and no LOBPCG stall path —
     // so an `Auto` policy gets upgraded to them when the coarsest level
-    // fits the dense guard.
+    // fits the dense guard (which both dense backends read from the
+    // policy's `dense_max_nodes`).
     let coarse_nodes = hierarchy.coarsest().graph.num_nodes();
     let mut coarse_cfg = config.clone().with_scale_edges(false);
     let use_dense = config.solver.method == sgl_solver::PolicyMethod::Auto
@@ -282,8 +282,7 @@ fn learn_inner(
         hierarchy.coarsest().graph.clone(),
     )?;
     if use_dense {
-        session =
-            session.with_embedding_backend(Box::new(sgl_core::DenseEigBackend::with_limit(0)));
+        session = session.with_dense_embedding();
     }
     let coarse_result = {
         let _sp = sgl_trace::span!("level", count = coarsest);
@@ -329,14 +328,15 @@ fn learn_inner(
                 config,
                 opts,
                 warm_coords.take(),
-                strategy.as_ref(),
                 &mut ctx,
             )?;
             densified = added;
             warm_coords = next_warm;
         }
         if opts.refine.rounds > 0 {
-            strategy.refine_weights(&mut fine, &level_meas[l], &opts.refine, &mut ctx)?;
+            config
+                .strategy
+                .refine_weights(&mut fine, &level_meas[l], &opts.refine, &mut ctx)?;
         }
         let mut pruned = 0;
         if let Some(target) = opts.target_density {
@@ -366,12 +366,12 @@ fn learn_inner(
     }
 
     // Step 5 at the finest level, exactly like the flat pipeline: the
-    // strategy's scaler (solver-backed or matvec-only) applies the
-    // global factor and keeps the context consistent.
+    // strategy's scaling (solver-backed or matvec-only) applies the
+    // global factor.
     let scale_factor = if config.scale_edges {
-        strategy
-            .edge_scaler(config)
-            .scale(&mut current, measurements, &mut ctx)?
+        config
+            .strategy
+            .scale_edges(&mut current, measurements, &mut ctx)?
     } else {
         None
     };
@@ -409,10 +409,9 @@ fn prolong_coords(coarse: &DenseMatrix, coarsening: &Coarsening) -> DenseMatrix 
 /// flat loop's Steps 2–3 (embed → score → add top `⌈N β⌉` above
 /// tolerance) over the candidates not yet in `graph`, with the
 /// eigensolver warm-started from `warm_coords` (and then from each
-/// sweep's own block). Embeds run through the strategy's Step-2 backend.
-/// Returns the number of edges added and the last embedding block for
-/// the next level's warm start.
-#[allow(clippy::too_many_arguments)]
+/// sweep's own block). Embeds run through the strategy's Step-2
+/// embedder. Returns the number of edges added and the last embedding
+/// block for the next level's warm start.
 fn densify_level(
     graph: &mut Graph,
     candidate: &Graph,
@@ -420,7 +419,6 @@ fn densify_level(
     config: &SglConfig,
     opts: &MultilevelOptions,
     warm_coords: Option<DenseMatrix>,
-    strategy: &dyn LearnStrategy,
     ctx: &mut SolverContext,
 ) -> Result<(usize, Option<DenseMatrix>), SglError> {
     let n = graph.num_nodes();
@@ -430,7 +428,7 @@ fn densify_level(
         max_iter: config.eig_max_iter,
         seed: config.seed,
     };
-    let backend: Box<dyn EmbeddingBackend> = strategy.embedding_backend(config);
+    let embedder = Embedder::for_config(config);
     let per_iter = ((n as f64 * config.beta * opts.densify_boost.max(1.0)).ceil() as usize).max(1);
     let mut pool = CandidatePool::from_graph_excluding(candidate, graph, measurements);
     let mut warm = warm_coords.filter(|c| c.ncols() == width);
@@ -440,7 +438,7 @@ fn densify_level(
             break;
         }
         let embedding =
-            backend.embed(graph, width, config.shift(), &emb_opts, warm.as_ref(), ctx)?;
+            embedder.embed(graph, width, config.shift(), &emb_opts, warm.as_ref(), ctx)?;
         let sens = pool.sensitivities(&embedding);
         let smax = sens.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         warm = Some(embedding.coords);

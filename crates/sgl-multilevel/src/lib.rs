@@ -27,6 +27,10 @@
 //!   graph to a target density without ever disconnecting it, with a
 //!   spectral-similarity check.
 //!
+//! The coarsening modules live in `sgl-core`, whose solver-free
+//! embedder builds its band skeleton on them; this crate re-exports
+//! them unchanged.
+//!
 //! # Example
 //!
 //! ```
@@ -48,15 +52,13 @@
 //! # Ok::<(), sgl_core::SglError>(())
 //! ```
 
-pub mod coarsen;
-pub mod hierarchy;
 pub mod learn;
 pub mod sparsify;
 
-pub use coarsen::{spectral_affinity_aggregate, AggregationOptions, Coarsening};
-pub use hierarchy::{HierarchyLevel, HierarchyOptions, MultilevelHierarchy};
 pub use learn::{
     learn_multilevel, learn_multilevel_from_candidate, LevelReport, MultilevelOptions,
     MultilevelResult,
 };
+pub use sgl_core::coarsen::{self, spectral_affinity_aggregate, AggregationOptions, Coarsening};
+pub use sgl_core::hierarchy::{self, HierarchyLevel, HierarchyOptions, MultilevelHierarchy};
 pub use sparsify::{sparsify_by_resistance, Sparsified, SparsifyOptions};

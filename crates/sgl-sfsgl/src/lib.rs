@@ -1,97 +1,10 @@
-//! SF-SGL: solver-free spectral graph learning.
+//! A no-op crate kept for the repository benchmark (`perfbench/`), which
+//! calls [`register`] at startup.
 //!
-//! The classic SGL loop leans on a Laplacian solver in three places —
-//! the shift-invert embedding fallback, the Step-5 edge scaling, and the
-//! JL effective-resistance sketch. This crate removes all three
-//! (following the solver-free SGL line of work): the embedding becomes a
-//! multilevel *band decomposition* — test vectors drawn per frequency
-//! band on a coarsening hierarchy, prolonged, polished, and projected
-//! through one matvec-only Rayleigh–Ritz step — Step 5 becomes a
-//! diagonally scaled CG recurrence (a polynomial of matvecs, no
-//! factorization or preconditioner setup), and resistances come from the
-//! truncated-spectrum sketch. Bands are generated embarrassingly
-//! parallel through the deterministic `par` layer: a solver-free learn
-//! is bit-identical at any thread count.
-//!
-//! # Usage
-//!
-//! The strategy plugs into `sgl-core` by registration (the core crate
-//! sits below this one, so it cannot name our types). Call [`register`]
-//! once, then select the strategy by config — every entry point
-//! ([`Sgl`](sgl_core::Sgl), [`SglSession`],
-//! `learn_multilevel`, the serving writer, the benches) runs the
-//! solver-free path unchanged:
-//!
-//! ```
-//! use sgl_core::{LearnStrategyKind, Measurements, SglConfig};
-//!
-//! sgl_sfsgl::register();
-//! let truth = sgl_datasets::grid2d(8, 8);
-//! let meas = Measurements::generate(&truth, 20, 42)?;
-//! let cfg = SglConfig::builder()
-//!     .tol(1e-4)
-//!     .strategy(LearnStrategyKind::SolverFree)
-//!     .build()?;
-//! let result = sgl_sfsgl::learn(cfg, &meas)?;
-//! assert_eq!(result.solver_stats.solves, 0); // no system was ever solved
-//! # Ok::<(), sgl_core::SglError>(())
-//! ```
-//!
-//! [`learn`] and [`session`] are small conveniences that call
-//! [`register`] for you.
+//! The solver-free SF-SGL strategy lives in `sgl-core`: select it with
+//! `SglConfig::builder().strategy(LearnStrategyKind::SolverFree)`, and
+//! every entry point runs it without any setup call.
 
-pub mod bands;
-pub mod embed;
-pub mod strategy;
-
-pub use bands::{band_basis, band_skeleton, BandBasisOptions};
-pub use embed::BandedEigBackend;
-pub use strategy::{SolverFreeScaler, SolverFreeStrategy};
-
-use sgl_core::{LearnResult, LearnStrategy, Measurements, SglConfig, SglError, SglSession};
-
-/// Make [`LearnStrategyKind::SolverFree`](sgl_core::LearnStrategyKind)
-/// resolvable process-wide. Idempotent and cheap — call it once at
-/// startup, or rely on [`learn`] / [`session`] calling it for you.
-pub fn register() {
-    sgl_core::register_solver_free_strategy(|_config| {
-        Box::new(SolverFreeStrategy) as Box<dyn LearnStrategy>
-    });
-}
-
-/// One-shot solver-free-capable learn: [`register`] +
-/// [`Sgl::learn`](sgl_core::Sgl). The config's `strategy` field still
-/// decides which path runs, so A/B harnesses can call this for both
-/// arms.
-///
-/// # Errors
-/// Propagates [`sgl_core::Sgl::learn`] failures.
-pub fn learn(config: SglConfig, measurements: &Measurements) -> Result<LearnResult, SglError> {
-    register();
-    sgl_core::Sgl::new(config).learn(measurements)
-}
-
-/// [`register`] + [`SglSession::new`]: a session that can resolve either
-/// strategy kind.
-///
-/// # Errors
-/// Propagates [`SglSession::new`] failures.
-pub fn session(config: SglConfig, measurements: &Measurements) -> Result<SglSession<'_>, SglError> {
-    register();
-    SglSession::new(config, measurements)
-}
-
-#[cfg(test)]
-mod tests {
-    use sgl_core::LearnStrategyKind;
-
-    #[test]
-    fn register_is_idempotent_and_resolves() {
-        super::register();
-        super::register();
-        assert!(sgl_core::solver_free_registered());
-        let cfg = sgl_core::SglConfig::default().with_strategy(LearnStrategyKind::SolverFree);
-        let s = sgl_core::resolve_strategy(&cfg).unwrap();
-        assert_eq!(s.name(), "solver-free");
-    }
-}
+/// Does nothing. The solver-free strategy needs no registration; this
+/// stays only so existing callers keep compiling.
+pub fn register() {}

@@ -16,12 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let meas = Measurements::generate(&truth, 30, 11)?;
     println!("ground truth : {truth}");
 
-    // The strategy registry: `sgl-core` sits below `sgl-sfsgl`, so the
-    // solver-free strategy announces itself once at startup. After this,
-    // `LearnStrategyKind::SolverFree` resolves in every entry point
-    // (Sgl, SglSession, learn_multilevel, the serving writer).
-    sgl_sfsgl::register();
-
+    // The strategy is plain config: `LearnStrategyKind::SolverFree` runs
+    // in every entry point (Sgl, SglSession, learn_multilevel, the
+    // serving writer) with no setup call.
     let cfg = |strategy| {
         SglConfig::builder()
             .tol(1e-4)
@@ -70,14 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Determinism rides along: the solver-free path runs band-parallel
     // through the deterministic par layer, so any thread count learns a
     // bit-identical graph.
-    let serial = sgl_sfsgl::learn(
-        cfg(LearnStrategyKind::SolverFree)?.with_parallelism(1),
-        &meas,
-    )?;
-    let parallel = sgl_sfsgl::learn(
-        cfg(LearnStrategyKind::SolverFree)?.with_parallelism(4),
-        &meas,
-    )?;
+    let serial = Sgl::new(cfg(LearnStrategyKind::SolverFree)?.with_parallelism(1)).learn(&meas)?;
+    let parallel =
+        Sgl::new(cfg(LearnStrategyKind::SolverFree)?.with_parallelism(4)).learn(&meas)?;
     for (a, b) in serial.graph.edges().iter().zip(parallel.graph.edges()) {
         assert_eq!(a.weight.to_bits(), b.weight.to_bits());
     }

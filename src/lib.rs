@@ -10,13 +10,13 @@
 //! * [`sgl_solver`] — fast Laplacian solvers (tree solve, PCG, AMG).
 //! * [`sgl_knn`] — kNN graph construction (brute force and HNSW).
 //! * [`sgl_datasets`] — synthetic meshes and circuit-style test cases.
-//! * [`sgl_core`] — the SGL algorithm itself.
+//! * [`sgl_core`] — the SGL algorithm itself, with both learning
+//!   strategies: the solver-backed loop and the solver-free SF-SGL loop
+//!   (banded multilevel embeddings and matvec-only scaling/resistances,
+//!   selected by [`LearnStrategyKind::SolverFree`](sgl_core::LearnStrategyKind)).
 //! * [`sgl_multilevel`] — spectral coarsening: hierarchy construction,
 //!   coarse-level learning ([`learn_multilevel`](sgl_multilevel::learn_multilevel)),
 //!   resistance-based sparsification.
-//! * [`sgl_sfsgl`] — the solver-free learning strategy (SF-SGL): banded
-//!   multilevel embeddings and matvec-only scaling/resistances behind
-//!   [`LearnStrategyKind::SolverFree`](sgl_core::LearnStrategyKind).
 //! * [`sgl_baseline`] — kNN and dense graphical-Lasso-style baselines.
 //! * [`sgl_serve`] — concurrent snapshot-based query serving with
 //!   streaming measurement ingest ([`SglServer`](sgl_serve::SglServer)).
@@ -43,8 +43,8 @@
 //!
 //! # The staged pipeline
 //!
-//! For per-iteration observation, swappable stage backends, or
-//! measurements that arrive in batches, drive an
+//! For per-iteration observation, an exact dense reference embedding,
+//! or measurements that arrive in batches, drive an
 //! [`SglSession`](sgl_core::SglSession) (`Sgl::learn` is a thin facade
 //! over it):
 //!
@@ -103,13 +103,11 @@
 //! matvec arithmetic — banded multilevel embeddings, a diagonally
 //! scaled CG recurrence, the truncated-spectrum sketch — so a full
 //! learn finishes with **zero** solves and **zero** solver handles.
-//! Register the strategy once, then select it by config; every entry
-//! point honors it:
+//! Select the strategy by config; every entry point honors it:
 //!
 //! ```
 //! use sgl::prelude::*;
 //!
-//! sgl_sfsgl::register();
 //! let truth = sgl_datasets::grid2d(8, 8);
 //! let meas = Measurements::generate(&truth, 20, 42).unwrap();
 //! let cfg = SglConfig::builder()
@@ -203,17 +201,15 @@ pub use sgl_linalg;
 pub use sgl_multilevel;
 pub use sgl_net;
 pub use sgl_serve;
-pub use sgl_sfsgl;
 pub use sgl_solver;
 pub use sgl_trace;
 
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use sgl_core::{
-        DenseEigBackend, FaultEvent, FaultKind, FaultPlan, IterationRecord, LanczosBackend,
-        LearnResult, LearnStrategy, LearnStrategyKind, Measurements, PolicyMethod,
-        ResistanceEstimator, ResistanceMethod, SessionObserver, Sgl, SglConfig, SglError,
-        SglSession, SolverPolicy, SolverStrategy, StepOutcome, StopVerdict,
+        FaultEvent, FaultKind, FaultPlan, IterationRecord, LearnResult, LearnStrategyKind,
+        Measurements, PolicyMethod, ResistanceEstimator, ResistanceMethod, SessionObserver, Sgl,
+        SglConfig, SglError, SglSession, SolverPolicy, StepOutcome, StopVerdict,
     };
     pub use sgl_graph::Graph;
     pub use sgl_multilevel::{

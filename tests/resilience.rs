@@ -121,11 +121,9 @@ fn faulted_runs_bit_identical_across_thread_counts() {
 }
 
 /// After repeated solver failures the session swaps Solver → SolverFree
-/// (when the sgl-sfsgl factory is registered) instead of dying; the
-/// fallback is recorded in the result.
+/// instead of dying; the fallback is recorded in the result.
 #[test]
 fn repeated_solver_failures_fall_back_to_solver_free() {
-    sgl_sfsgl::register();
     // Stagnate every PCG solve: the fresh-factorization retry fails
     // too, forcing the strategy fallback rung.
     let mut plan = FaultPlan::new();

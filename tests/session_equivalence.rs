@@ -1,7 +1,7 @@
 //! The `SglSession` facade contract: a step-wise session run must be
 //! indistinguishable from one-shot `Sgl::learn`, observers must see the
-//! complete trace, and the dense reference eigensolver backend must
-//! learn the same edge set as the default iterative backend.
+//! complete trace, and the dense reference embedding must learn the
+//! same edge set as the default iterative one.
 
 use sgl::prelude::*;
 use sgl_core::SessionObserver;
@@ -107,9 +107,9 @@ fn trait_observer_receives_finish() {
     assert_eq!(*finished.lock().unwrap(), Some(result.trace.len()));
 }
 
-/// Acceptance criterion: swapping `DenseEigBackend` for the default
-/// backend on an 8×8 grid changes the learned edge set by zero edges at
-/// `tol = 1e-4`.
+/// Acceptance criterion: pinning the dense embedding in place of the
+/// default LOBPCG one on an 8×8 grid changes the learned edge set by
+/// zero edges at `tol = 1e-4`.
 #[test]
 fn dense_and_lanczos_backends_agree_on_small_grids() {
     for &(rows, cols, seed) in &[(8usize, 8usize, 7u64), (6, 6, 8), (7, 5, 9)] {
@@ -117,21 +117,17 @@ fn dense_and_lanczos_backends_agree_on_small_grids() {
         let meas = Measurements::generate(&truth, 20, seed).unwrap();
         let cfg = config(1e-4);
 
-        let lanczos = SglSession::new(cfg.clone(), &meas)
-            .unwrap()
-            .with_embedding_backend(Box::new(LanczosBackend))
-            .run()
-            .unwrap();
+        let lobpcg = SglSession::new(cfg.clone(), &meas).unwrap().run().unwrap();
         let dense = SglSession::new(cfg, &meas)
             .unwrap()
-            .with_embedding_backend(Box::new(DenseEigBackend::default()))
+            .with_dense_embedding()
             .run()
             .unwrap();
 
         let edges = |r: &LearnResult| -> std::collections::BTreeSet<(usize, usize)> {
             r.graph.edges().iter().map(|e| (e.u, e.v)).collect()
         };
-        let a = edges(&lanczos);
+        let a = edges(&lobpcg);
         let b = edges(&dense);
         let diff = a.symmetric_difference(&b).count();
         assert_eq!(

@@ -2,7 +2,8 @@
 //! never builds a solver handle, agrees spectrally with the solver path,
 //! and is bit-identical at any thread count.
 
-use sgl_core::{compare_spectra, LearnStrategyKind, Measurements, SglConfig, SpectrumMethod};
+use sgl::prelude::*;
+use sgl_core::{compare_spectra, SpectrumMethod};
 
 fn scenario() -> (sgl_graph::Graph, Measurements) {
     let truth = sgl_datasets::grid2d(12, 12);
@@ -22,7 +23,7 @@ fn config(strategy: LearnStrategyKind) -> SglConfig {
 #[test]
 fn full_learn_completes_with_zero_solves_and_zero_handles() {
     let (_, meas) = scenario();
-    let mut session = sgl_sfsgl::session(config(LearnStrategyKind::SolverFree), &meas).unwrap();
+    let mut session = SglSession::new(config(LearnStrategyKind::SolverFree), &meas).unwrap();
     session.run_to_completion().unwrap();
     assert_eq!(
         session.solver_context().handles_built(),
@@ -43,8 +44,12 @@ fn full_learn_completes_with_zero_solves_and_zero_handles() {
 #[test]
 fn solver_free_learn_tracks_the_solver_path_spectrally() {
     let (_, meas) = scenario();
-    let solver = sgl_sfsgl::learn(config(LearnStrategyKind::Solver), &meas).unwrap();
-    let free = sgl_sfsgl::learn(config(LearnStrategyKind::SolverFree), &meas).unwrap();
+    let solver = Sgl::new(config(LearnStrategyKind::Solver))
+        .learn(&meas)
+        .unwrap();
+    let free = Sgl::new(config(LearnStrategyKind::SolverFree))
+        .learn(&meas)
+        .unwrap();
     let cmp = compare_spectra(&solver.graph, &free.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
     assert!(
         cmp.mean_relative_error < 0.05,
@@ -59,16 +64,12 @@ fn solver_free_learn_tracks_the_solver_path_spectrally() {
 #[test]
 fn solver_free_learn_is_bit_identical_across_thread_counts() {
     let (_, meas) = scenario();
-    let serial = sgl_sfsgl::learn(
-        config(LearnStrategyKind::SolverFree).with_parallelism(1),
-        &meas,
-    )
-    .unwrap();
-    let parallel = sgl_sfsgl::learn(
-        config(LearnStrategyKind::SolverFree).with_parallelism(4),
-        &meas,
-    )
-    .unwrap();
+    let serial = Sgl::new(config(LearnStrategyKind::SolverFree).with_parallelism(1))
+        .learn(&meas)
+        .unwrap();
+    let parallel = Sgl::new(config(LearnStrategyKind::SolverFree).with_parallelism(4))
+        .learn(&meas)
+        .unwrap();
     assert_eq!(serial.graph.num_edges(), parallel.graph.num_edges());
     for (a, b) in serial.graph.edges().iter().zip(parallel.graph.edges()) {
         assert_eq!((a.u, a.v), (b.u, b.v));
@@ -82,8 +83,7 @@ fn solver_free_learn_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn multilevel_learn_stays_solver_free_end_to_end() {
-    use sgl_multilevel::{learn_multilevel, HierarchyOptions, MultilevelOptions};
-    sgl_sfsgl::register();
+    use sgl_multilevel::HierarchyOptions;
     let truth = sgl_datasets::grid2d(16, 16);
     let meas = Measurements::generate(&truth, 25, 1).unwrap();
     let opts = MultilevelOptions {
@@ -115,7 +115,9 @@ fn multilevel_learn_stays_solver_free_end_to_end() {
 fn voltage_only_measurements_skip_scaling_but_still_learn() {
     let (_, meas) = scenario();
     let volts = Measurements::from_voltages(meas.voltages().clone()).unwrap();
-    let result = sgl_sfsgl::learn(config(LearnStrategyKind::SolverFree), &volts).unwrap();
+    let result = Sgl::new(config(LearnStrategyKind::SolverFree))
+        .learn(&volts)
+        .unwrap();
     assert_eq!(result.scale_factor, None);
     assert_eq!(result.solver_stats.solves, 0);
 }
