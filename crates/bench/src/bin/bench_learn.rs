@@ -49,7 +49,7 @@ use sgl_bench::{banner, fix, repro_dir, sci, time, Args, Table};
 use sgl_core::resistance::sample_node_pairs;
 use sgl_core::{
     compare_spectra, FaultPlan, LearnResult, LearnStrategyKind, Measurements, SglConfig,
-    SglSession, SpectrumMethod, StopVerdict,
+    SglSession, StopVerdict,
 };
 use sgl_datasets::delaunay::{delaunay, Point};
 use sgl_graph::Graph;
@@ -194,13 +194,8 @@ fn run_strategy_ab(
             scenario.name
         );
     }
-    let cmp = compare_spectra(
-        &solver_run.result.graph,
-        &serial.result.graph,
-        6,
-        SpectrumMethod::ShiftInvert,
-    )
-    .expect("strategy A/B spectrum comparison");
+    let cmp = compare_spectra(&solver_run.result.graph, &serial.result.graph, 6)
+        .expect("strategy A/B spectrum comparison");
     // The acceptance gate is asserted at the CI smoke size: at quick
     // scale the two arms walk near-identical trajectories, so spectral
     // drift means the solver-free machinery broke. At full size the
@@ -304,8 +299,7 @@ fn run_multilevel_bench(side: usize, threads: usize, m: usize) -> MultilevelBenc
     assert_multilevel_identical(&multi, &serial);
     println!("multilevel hierarchy identical at 1 and {threads} threads ✓");
 
-    let cmp = compare_spectra(&flat.graph, &multi.graph, 6, SpectrumMethod::ShiftInvert)
-        .expect("spectrum comparison");
+    let cmp = compare_spectra(&flat.graph, &multi.graph, 6).expect("spectrum comparison");
     println!(
         "first-6 eigenvalues vs flat: mean relative error {:.4}, correlation {:.4}",
         cmp.mean_relative_error, cmp.correlation

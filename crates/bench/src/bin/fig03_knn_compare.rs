@@ -8,7 +8,7 @@
 
 use sgl_baseline::knn_baseline;
 use sgl_bench::{banner, sci, Args, Table};
-use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig, SpectrumMethod};
+use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig};
 use sgl_datasets::TestCase;
 use sgl_linalg::vecops::pearson;
 
@@ -39,10 +39,9 @@ fn main() {
     .expect("learning");
     let (knn, _) = knn_baseline(&meas, 5).expect("5NN baseline");
 
-    let method = SpectrumMethod::ShiftInvert;
-    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs, method).expect("true eigs");
-    let sgl_eigs = smallest_nonzero_eigenvalues(&sgl.graph, k_eigs, method).expect("sgl eigs");
-    let knn_eigs = smallest_nonzero_eigenvalues(&knn, k_eigs, method).expect("knn eigs");
+    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs).expect("true eigs");
+    let sgl_eigs = smallest_nonzero_eigenvalues(&sgl.graph, k_eigs).expect("sgl eigs");
+    let knn_eigs = smallest_nonzero_eigenvalues(&knn, k_eigs).expect("knn eigs");
 
     let mut table = Table::new(&["index", "lambda_true", "lambda_sgl", "lambda_5nn"]);
     for i in 0..k_eigs {

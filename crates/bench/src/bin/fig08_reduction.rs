@@ -7,9 +7,7 @@
 //! Usage: `fig08_reduction [--scale 0.05] [--m 100] [--eigs 25] [--quick]`
 
 use sgl_bench::{banner, fix, sci, Args, Table};
-use sgl_core::{
-    learn_reduced, smallest_nonzero_eigenvalues, Measurements, SglConfig, SpectrumMethod,
-};
+use sgl_core::{learn_reduced, smallest_nonzero_eigenvalues, Measurements, SglConfig};
 use sgl_datasets::TestCase;
 use sgl_linalg::vecops::pearson;
 
@@ -33,8 +31,7 @@ fn main() {
     let config = SglConfig::default()
         .with_tol(1e-12)
         .with_max_iterations(150);
-    let method = SpectrumMethod::ShiftInvert;
-    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs, method).expect("true eigenvalues");
+    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs).expect("true eigenvalues");
 
     let mut summary = Table::new(&[
         "fraction",
@@ -46,8 +43,8 @@ fn main() {
     ]);
     for fraction in [0.2, 0.1] {
         let red = learn_reduced(&meas, fraction, &config, 5).expect("reduction");
-        let red_eigs = smallest_nonzero_eigenvalues(&red.result.graph, k_eigs, method)
-            .expect("reduced eigenvalues");
+        let red_eigs =
+            smallest_nonzero_eigenvalues(&red.result.graph, k_eigs).expect("reduced eigenvalues");
         // The reduced graph lives on fewer nodes: compare eigenvalue
         // *shape* via Pearson correlation, as the paper's scatter does.
         let corr = pearson(&true_eigs, &red_eigs);

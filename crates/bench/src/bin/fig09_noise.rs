@@ -7,7 +7,7 @@
 //! Usage: `fig09_noise [--scale 0.25] [--m 50] [--eigs 25] [--quick]`
 
 use sgl_bench::{banner, fix, sci, Args, Table};
-use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig, SpectrumMethod};
+use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig};
 use sgl_datasets::grid2d;
 use sgl_linalg::vecops::pearson;
 
@@ -29,8 +29,7 @@ fn main() {
     );
 
     let clean = Measurements::generate(&truth, m, 7).expect("measurements");
-    let method = SpectrumMethod::ShiftInvert;
-    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs, method).expect("true eigenvalues");
+    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs).expect("true eigenvalues");
     let config = SglConfig::default()
         .with_tol(1e-12)
         .with_max_iterations(200);
@@ -39,8 +38,7 @@ fn main() {
     for zeta in [0.0, 0.1, 0.25, 0.5] {
         let noisy = clean.with_noise(zeta, 99);
         let result = Sgl::new(config.clone()).learn(&noisy).expect("learning");
-        let got = smallest_nonzero_eigenvalues(&result.graph, k_eigs, method)
-            .expect("learned eigenvalues");
+        let got = smallest_nonzero_eigenvalues(&result.graph, k_eigs).expect("learned eigenvalues");
         let corr = pearson(&true_eigs, &got);
         let rel = true_eigs
             .iter()

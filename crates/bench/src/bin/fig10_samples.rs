@@ -7,7 +7,7 @@
 //! Usage: `fig10_samples [--scale 0.15] [--eigs 25] [--quick]`
 
 use sgl_bench::{banner, fix, sci, Args, Table};
-use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig, SpectrumMethod};
+use sgl_core::{smallest_nonzero_eigenvalues, Measurements, Sgl, SglConfig};
 use sgl_datasets::TestCase;
 use sgl_linalg::vecops::pearson;
 
@@ -25,8 +25,7 @@ fn main() {
         ],
     );
 
-    let method = SpectrumMethod::ShiftInvert;
-    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs, method).expect("true eigenvalues");
+    let true_eigs = smallest_nonzero_eigenvalues(&truth, k_eigs).expect("true eigenvalues");
     let config = SglConfig::default()
         .with_tol(1e-12)
         .with_max_iterations(200);
@@ -35,8 +34,7 @@ fn main() {
     for m in [5usize, 10, 25, 50] {
         let meas = Measurements::generate(&truth, m, 7).expect("measurements");
         let result = Sgl::new(config.clone()).learn(&meas).expect("learning");
-        let got = smallest_nonzero_eigenvalues(&result.graph, k_eigs, method)
-            .expect("learned eigenvalues");
+        let got = smallest_nonzero_eigenvalues(&result.graph, k_eigs).expect("learned eigenvalues");
         let corr = pearson(&true_eigs, &got);
         let rel = true_eigs
             .iter()

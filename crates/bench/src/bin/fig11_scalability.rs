@@ -11,7 +11,7 @@
 use sgl_bench::{banner, fix, time, Args, Table};
 use sgl_core::{Measurements, Sgl, SglConfig};
 use sgl_datasets::grid2d;
-use sgl_knn::{build_knn_graph, KnnGraphConfig};
+use sgl_knn::build_knn_graph;
 
 fn main() {
     let args = Args::from_env();
@@ -50,13 +50,7 @@ fn main() {
         let truth = grid2d(side, side);
         let n = truth.num_nodes();
         let meas = Measurements::generate(&truth, m, 7).expect("measurements");
-        let knn = build_knn_graph(
-            meas.voltages(),
-            &KnnGraphConfig {
-                k: 5,
-                ..KnnGraphConfig::default()
-            },
-        );
+        let knn = build_knn_graph(meas.voltages(), 5);
         let edges_knn = knn.num_edges();
         let (result, secs) = time(|| {
             Sgl::new(config.clone())

@@ -150,7 +150,7 @@ pub fn banner(figure: &str, description: &str, params: &[(&str, String)]) {
 /// The full per-test-case report used by Figs. 4–6: objective curve,
 /// densities, eigenvalue scatter and a spectral layout with clusters.
 pub fn case_report(figure: &str, case: sgl_datasets::TestCase, args: &Args, full_scale: f64) {
-    use sgl_core::{objective, ObjectiveOptions, SpectrumMethod};
+    use sgl_core::{objective, ObjectiveOptions};
 
     let default_scale = if args.has("quick") {
         full_scale.min(0.04)
@@ -209,11 +209,10 @@ pub fn case_report(figure: &str, case: sgl_datasets::TestCase, args: &Args, full
     let _ = curve.write_csv(&format!("{}_objective", tag));
 
     // Eigenvalue scatter.
-    let method = SpectrumMethod::ShiftInvert;
     let true_eigs =
-        sgl_core::smallest_nonzero_eigenvalues(&truth, k_eigs, method).expect("true eigenvalues");
-    let got_eigs = sgl_core::smallest_nonzero_eigenvalues(&result.graph, k_eigs, method)
-        .expect("learned eigenvalues");
+        sgl_core::smallest_nonzero_eigenvalues(&truth, k_eigs).expect("true eigenvalues");
+    let got_eigs =
+        sgl_core::smallest_nonzero_eigenvalues(&result.graph, k_eigs).expect("learned eigenvalues");
     let mut scatter = Table::new(&["index", "lambda_original", "lambda_learned"]);
     for i in 0..k_eigs {
         scatter.row(&[(i + 2).to_string(), sci(true_eigs[i]), sci(got_eigs[i])]);

@@ -234,18 +234,12 @@ impl DenseGspEstimator {
 mod tests {
     use super::*;
     use sgl_datasets::grid2d;
-    use sgl_knn::{build_knn_graph, KnnGraphConfig};
+    use sgl_knn::build_knn_graph;
 
     fn setup(nx: usize, ny: usize, m: usize, seed: u64) -> (Graph, Measurements, Graph) {
         let truth = grid2d(nx, ny);
         let meas = Measurements::generate(&truth, m, seed).unwrap();
-        let knn = build_knn_graph(
-            meas.voltages(),
-            &KnnGraphConfig {
-                k: 5,
-                ..KnnGraphConfig::default()
-            },
-        );
+        let knn = build_knn_graph(meas.voltages(), 5);
         (truth, meas, knn)
     }
 

@@ -3,7 +3,7 @@
 
 use sgl_core::{spectral_edge_scaling, Measurements, SglError};
 use sgl_graph::Graph;
-use sgl_knn::{build_knn_graph, KnnGraphConfig};
+use sgl_knn::build_knn_graph;
 
 /// Build the scaled kNN baseline graph for a measurement set.
 ///
@@ -18,11 +18,7 @@ pub fn knn_baseline(
     measurements: &Measurements,
     k: usize,
 ) -> Result<(Graph, Option<f64>), SglError> {
-    let cfg = KnnGraphConfig {
-        k,
-        ..KnnGraphConfig::default()
-    };
-    let mut graph = build_knn_graph(measurements.voltages(), &cfg);
+    let mut graph = build_knn_graph(measurements.voltages(), k);
     let factor = if measurements.currents().is_some() {
         Some(spectral_edge_scaling(&mut graph, measurements)?)
     } else {

@@ -3,19 +3,13 @@
 use sgl_baseline::{knn_baseline, DenseGspEstimator, DenseGspOptions};
 use sgl_core::{objective, Measurements, ObjectiveOptions};
 use sgl_datasets::grid2d;
-use sgl_knn::{build_knn_graph, KnnGraphConfig};
+use sgl_knn::build_knn_graph;
 
 #[test]
 fn dense_estimator_gradient_norm_shrinks() {
     let truth = grid2d(5, 5);
     let meas = Measurements::generate(&truth, 20, 1).unwrap();
-    let knn = build_knn_graph(
-        meas.voltages(),
-        &KnnGraphConfig {
-            k: 4,
-            ..KnnGraphConfig::default()
-        },
-    );
+    let knn = build_knn_graph(meas.voltages(), 4);
     let short = DenseGspEstimator::new(DenseGspOptions {
         max_iterations: 3,
         ..DenseGspOptions::default()

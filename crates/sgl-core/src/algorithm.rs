@@ -244,7 +244,7 @@ impl Sgl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::{smallest_nonzero_eigenvalues, SpectrumMethod};
+    use crate::embedding::smallest_nonzero_eigenvalues;
     use sgl_datasets::grid2d;
     use sgl_linalg::vecops;
 
@@ -285,10 +285,8 @@ mod tests {
         let truth = grid2d(8, 8);
         let meas = Measurements::generate(&truth, 30, 3).unwrap();
         let result = Sgl::new(quick_config()).learn(&meas).unwrap();
-        let ref_eigs =
-            smallest_nonzero_eigenvalues(&truth, 6, SpectrumMethod::ShiftInvert).unwrap();
-        let got_eigs =
-            smallest_nonzero_eigenvalues(&result.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
+        let ref_eigs = smallest_nonzero_eigenvalues(&truth, 6).unwrap();
+        let got_eigs = smallest_nonzero_eigenvalues(&result.graph, 6).unwrap();
         let corr = vecops::pearson(&ref_eigs, &got_eigs);
         assert!(corr > 0.9, "spectral correlation too low: {corr}");
     }

@@ -4,71 +4,32 @@
 //! run. Construct one with [`SglConfig::builder`]:
 //!
 //! ```
-//! use sgl_core::{PolicyMethod, ResistanceMethod, SglConfig};
+//! use sgl_core::{PolicyMethod, SglConfig};
 //!
 //! let cfg = SglConfig::builder()
 //!     .k(5)
 //!     .r(5)
 //!     .beta(1e-3)
 //!     .tol(1e-9)
-//!     // Every Laplacian solve in the run honors this policy...
+//!     // Every Laplacian solve in the run honors this policy.
 //!     .solver_method(PolicyMethod::AmgPcg)
 //!     .solver_rtol(1e-10)
-//!     // ...and resistances come from the chosen estimator (the
-//!     // spectral sketch needs no solver at all).
-//!     .resistance(ResistanceMethod::SpectralSketch { width: 0 })
 //!     .build()?;
 //! assert_eq!(cfg.k, 5);
 //! assert_eq!(cfg.solver.method, PolicyMethod::AmgPcg);
 //! # Ok::<(), sgl_core::SglError>(())
 //! ```
 //!
-//! `k` lives only on [`SglConfig`]; the kNN backend settings
-//! ([`KnnSettings`]) deliberately exclude it so there is a single source
-//! of truth for the neighbor count. Likewise the solve layer has a
-//! single source of truth: [`SglConfig::solver`] is the
-//! [`SolverPolicy`] behind **every** solve the session performs — edge
-//! scaling, shift-invert embedding fallback, and resistance sketching
-//! all share one policy-built handle per learned-graph revision.
+//! The solve layer has a single source of truth: [`SglConfig::solver`]
+//! is the [`SolverPolicy`] behind **every** solve the session performs
+//! — edge scaling, shift-invert embedding fallback, and resistance
+//! estimation all share one policy-built handle per learned-graph
+//! revision. The resistance estimator itself follows the strategy
+//! ([`LearnStrategyKind::resistance_estimator`]).
 
 use crate::error::SglError;
-use crate::resistance::ResistanceMethod;
 use crate::strategy::LearnStrategyKind;
-use sgl_knn::{KnnGraphConfig, KnnMethod};
 use sgl_solver::{PolicyMethod, SolverPolicy};
-
-/// kNN construction settings *minus* the neighbor count `k`, which is
-/// owned by [`SglConfig::k`] alone. Worker threads are not a kNN-local
-/// concern either: the brute-force search fans out over the shared
-/// parallel layer, governed by [`SglConfig::parallelism`].
-#[derive(Debug, Clone)]
-pub struct KnnSettings {
-    /// Search backend (exact brute force or approximate HNSW).
-    pub method: KnnMethod,
-    /// Relative floor for squared distances (guards duplicate rows).
-    pub dist_floor_rel: f64,
-}
-
-impl Default for KnnSettings {
-    fn default() -> Self {
-        let d = KnnGraphConfig::default();
-        KnnSettings {
-            method: d.method,
-            dist_floor_rel: d.dist_floor_rel,
-        }
-    }
-}
-
-impl KnnSettings {
-    /// Combine with the neighbor count into the `sgl-knn` build config.
-    pub fn graph_config(&self, k: usize) -> KnnGraphConfig {
-        KnnGraphConfig {
-            k,
-            method: self.method.clone(),
-            dist_floor_rel: self.dist_floor_rel,
-        }
-    }
-}
 
 /// Configuration for the SGL learner, mirroring Algorithm 1's inputs.
 ///
@@ -76,7 +37,7 @@ impl KnnSettings {
 /// `r = 5`, `β = 10⁻³`, `tol = 10⁻¹²`, `σ² → ∞`.
 #[derive(Debug, Clone)]
 pub struct SglConfig {
-    /// `k` for the initial kNN graph (the single source of truth).
+    /// `k` for the initial (exact) kNN graph.
     pub k: usize,
     /// `r` for the spectral projection matrix of eq. (12): `r − 1`
     /// nontrivial eigenvectors are used.
@@ -91,8 +52,6 @@ pub struct SglConfig {
     pub sigma_sq: f64,
     /// Iteration cap (a safety net; the paper's runs converge in ≤ ~100).
     pub max_iterations: usize,
-    /// kNN construction settings (everything except `k`).
-    pub knn: KnnSettings,
     /// Residual tolerance for the embedding eigensolver.
     pub eig_tol: f64,
     /// Iteration cap for the embedding eigensolver.
@@ -105,14 +64,9 @@ pub struct SglConfig {
     /// iteration cap, handle reuse). The session builds **one**
     /// [`SolverHandle`](sgl_solver::SolverHandle) per learned-graph
     /// revision from this policy and shares it across edge scaling,
-    /// shift-invert embedding, and resistance sketching — so changing
+    /// shift-invert embedding, and exact resistance queries — so changing
     /// the policy here changes every solve in the run, end to end.
     pub solver: SolverPolicy,
-    /// Which effective-resistance estimator
-    /// ([`ResistanceEstimator`](crate::resistance::ResistanceEstimator))
-    /// the pipeline materializes: exact solves, the JL sketch, or the
-    /// solver-free spectral sketch.
-    pub resistance: ResistanceMethod,
     /// Worker threads for every parallel stage the session runs — kNN
     /// table builds, batched Laplacian solves, candidate scoring, and
     /// the row-partitioned sparse kernels. `0` (the default) uses all
@@ -148,13 +102,11 @@ impl Default for SglConfig {
             tol: 1e-12,
             sigma_sq: f64::INFINITY,
             max_iterations: 500,
-            knn: KnnSettings::default(),
             eig_tol: 1e-7,
             eig_max_iter: 400,
             scale_edges: true,
             seed: 0x5617,
             solver: SolverPolicy::default(),
-            resistance: ResistanceMethod::default(),
             parallelism: 0,
             coarsening_ratio: 0.6,
             max_levels: 10,
@@ -247,11 +199,6 @@ impl SglConfig {
         }
     }
 
-    /// The kNN build configuration implied by `k` + [`KnnSettings`].
-    pub fn knn_graph_config(&self) -> KnnGraphConfig {
-        self.knn.graph_config(self.k)
-    }
-
     /// Builder-style setter for `k`.
     pub fn with_k(mut self, k: usize) -> Self {
         self.k = k;
@@ -291,12 +238,6 @@ impl SglConfig {
     /// Builder-style setter for the solver policy.
     pub fn with_solver_policy(mut self, solver: SolverPolicy) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Builder-style setter for the resistance estimator.
-    pub fn with_resistance(mut self, resistance: ResistanceMethod) -> Self {
-        self.resistance = resistance;
         self
     }
 
@@ -373,19 +314,6 @@ impl SglConfigBuilder {
         self
     }
 
-    /// kNN construction settings (search backend, distance floor,
-    /// threads); `k` is set via [`SglConfigBuilder::k`].
-    pub fn knn(mut self, knn: KnnSettings) -> Self {
-        self.cfg.knn = knn;
-        self
-    }
-
-    /// kNN search backend.
-    pub fn knn_method(mut self, method: KnnMethod) -> Self {
-        self.cfg.knn.method = method;
-        self
-    }
-
     /// Residual tolerance for the embedding eigensolver.
     pub fn eig_tol(mut self, tol: f64) -> Self {
         self.cfg.eig_tol = tol;
@@ -432,13 +360,6 @@ impl SglConfigBuilder {
     /// Iteration cap for the pipeline's Laplacian solves.
     pub fn solver_max_iter(mut self, max_iter: usize) -> Self {
         self.cfg.solver.max_iter = max_iter;
-        self
-    }
-
-    /// Effective-resistance estimator strategy (exact, JL sketch, or the
-    /// solver-free spectral sketch).
-    pub fn resistance(mut self, resistance: ResistanceMethod) -> Self {
-        self.cfg.resistance = resistance;
         self
     }
 
@@ -603,13 +524,11 @@ mod tests {
             .solver_method(PolicyMethod::DenseCholesky)
             .solver_rtol(1e-8)
             .solver_max_iter(500)
-            .resistance(ResistanceMethod::SpectralSketch { width: 16 })
             .build()
             .unwrap();
         assert_eq!(c.solver.method, PolicyMethod::DenseCholesky);
         assert_eq!(c.solver.rtol, 1e-8);
         assert_eq!(c.solver.max_iter, 500);
-        assert_eq!(c.resistance, ResistanceMethod::SpectralSketch { width: 16 });
         // Policy violations are caught at build() time.
         assert!(SglConfig::builder().solver_rtol(0.0).build().is_err());
         assert!(SglConfig::builder().solver_max_iter(0).build().is_err());
@@ -670,13 +589,5 @@ mod tests {
                 .strategy,
             LearnStrategyKind::SolverFree
         );
-    }
-
-    #[test]
-    fn k_has_a_single_source_of_truth() {
-        let c = SglConfig::builder().k(9).build().unwrap();
-        assert_eq!(c.knn_graph_config().k, 9);
-        // KnnSettings has no `k` field at all; graph_config takes it.
-        assert_eq!(c.knn.graph_config(3).k, 3);
     }
 }

@@ -14,7 +14,7 @@ use crate::backend::Embedder;
 use crate::error::SglError;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
-use sgl_linalg::lanczos::{lanczos_largest, lanczos_smallest, LanczosOptions};
+use sgl_linalg::lanczos::{lanczos_largest, LanczosOptions};
 use sgl_linalg::lobpcg::{lobpcg_with_guess, LobpcgOptions};
 use sgl_linalg::{vecops, DenseMatrix, FnOperator, LinalgError, ProjectedOperator};
 use sgl_solver::{AmgHierarchy, SolverContext, SolverHandle, SolverPolicy};
@@ -222,44 +222,15 @@ fn shift_invert_fallback(
     })
 }
 
-/// How to compute a batch of smallest nonzero Laplacian eigenvalues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectrumMethod {
-    /// Shift-invert Lanczos: each step applies `L⁺` through a fast solve.
-    /// Best for many eigenvalues of large graphs.
-    #[default]
-    ShiftInvert,
-    /// Plain Lanczos on `L` (adequate for small graphs / few values).
-    Direct,
-}
-
 /// First `k` nonzero Laplacian eigenvalues (ascending) of a connected
 /// graph — the quantities plotted in the paper's eigenvalue scatter plots
-/// and used by the objective evaluation. Any shift-invert solver is
-/// built from the default [`SolverPolicy`]; use
-/// [`smallest_nonzero_eigenvalues_with`] to control it.
+/// and used by the objective evaluation — by shift-invert Lanczos: each
+/// step applies `L⁺` through one solve on a default-[`SolverPolicy`]
+/// handle.
 ///
 /// # Errors
 /// Propagates eigensolver/solver failures; rejects `k ≥ N`.
-pub fn smallest_nonzero_eigenvalues(
-    graph: &Graph,
-    k: usize,
-    method: SpectrumMethod,
-) -> Result<Vec<f64>, SglError> {
-    smallest_nonzero_eigenvalues_with(graph, k, method, &SolverPolicy::default())
-}
-
-/// [`smallest_nonzero_eigenvalues`] with an explicit solver policy for
-/// the shift-invert path ([`SpectrumMethod::Direct`] never solves).
-///
-/// # Errors
-/// See [`smallest_nonzero_eigenvalues`].
-pub fn smallest_nonzero_eigenvalues_with(
-    graph: &Graph,
-    k: usize,
-    method: SpectrumMethod,
-    policy: &SolverPolicy,
-) -> Result<Vec<f64>, SglError> {
+pub fn smallest_nonzero_eigenvalues(graph: &Graph, k: usize) -> Result<Vec<f64>, SglError> {
     let n = graph.num_nodes();
     if k + 1 > n {
         return Err(SglError::InvalidGraph(format!(
@@ -267,45 +238,27 @@ pub fn smallest_nonzero_eigenvalues_with(
         )));
     }
     let ones = vec![1.0; n];
-    match method {
-        SpectrumMethod::Direct => {
-            let op = LaplacianOp::new(graph);
-            let pairs = lanczos_smallest(
-                &op,
-                k,
-                &[ones],
-                &LanczosOptions {
-                    tol: 1e-9,
-                    max_subspace: (4 * k + 60).min(n - 1),
-                    seed: 5,
-                },
-            )?;
-            Ok(pairs.values)
-        }
-        SpectrumMethod::ShiftInvert => {
-            let handle = policy.build_handle(graph)?;
-            let pairs = shift_invert_lanczos(
-                handle.as_ref(),
-                k,
-                &ones,
-                &LanczosOptions {
-                    tol: 1e-8,
-                    max_subspace: (3 * k + 40).min(n - 1),
-                    seed: 5,
-                },
-            )?;
-            // θ are the largest eigenvalues of L⁺, ascending; invert and
-            // flip to get the smallest of L ascending.
-            let mut vals: Vec<f64> = pairs
-                .values
-                .iter()
-                .rev()
-                .map(|&t| 1.0 / t.max(f64::MIN_POSITIVE))
-                .collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            Ok(vals)
-        }
-    }
+    let handle = SolverPolicy::default().build_handle(graph)?;
+    let pairs = shift_invert_lanczos(
+        handle.as_ref(),
+        k,
+        &ones,
+        &LanczosOptions {
+            tol: 1e-8,
+            max_subspace: (3 * k + 40).min(n - 1),
+            seed: 5,
+        },
+    )?;
+    // θ are the largest eigenvalues of L⁺, ascending; invert and flip to
+    // get the smallest of L ascending.
+    let mut vals: Vec<f64> = pairs
+        .values
+        .iter()
+        .rev()
+        .map(|&t| 1.0 / t.max(f64::MIN_POSITIVE))
+        .collect();
+    vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    Ok(vals)
 }
 
 #[cfg(test)]
@@ -346,16 +299,16 @@ mod tests {
 
     #[test]
     fn eigenvalue_batches_agree_between_methods() {
+        // Shift-invert Lanczos against the dense reference.
         let g = grid2d(7, 6);
-        let a = smallest_nonzero_eigenvalues(&g, 6, SpectrumMethod::Direct).unwrap();
-        let b = smallest_nonzero_eigenvalues(&g, 6, SpectrumMethod::ShiftInvert).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-        }
-        // Against the dense reference.
+        let got = smallest_nonzero_eigenvalues(&g, 6).unwrap();
         let dense = SymEig::compute(&sgl_graph::laplacian::laplacian_csr(&g).to_dense()).unwrap();
-        for (j, x) in a.iter().enumerate() {
-            assert!((x - dense.values[j + 1]).abs() < 1e-6);
+        for (j, x) in got.iter().enumerate() {
+            assert!(
+                (x - dense.values[j + 1]).abs() < 1e-6,
+                "{x} vs {}",
+                dense.values[j + 1]
+            );
         }
     }
 

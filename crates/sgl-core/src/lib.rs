@@ -88,11 +88,10 @@ pub mod strategy;
 
 pub use algorithm::{IterationRecord, LearnResult, Sgl, StepTimings, StopVerdict};
 pub use backend::Embedder;
-pub use config::{KnnSettings, SglConfig, SglConfigBuilder};
+pub use config::{SglConfig, SglConfigBuilder};
 pub use embed::BandedEigBackend;
 pub use embedding::{
-    smallest_nonzero_eigenvalues, smallest_nonzero_eigenvalues_with, spectral_embedding, Embedding,
-    EmbeddingOptions, SpectrumMethod,
+    smallest_nonzero_eigenvalues, spectral_embedding, Embedding, EmbeddingOptions,
 };
 pub use error::SglError;
 pub use measure::Measurements;
@@ -103,9 +102,8 @@ pub use refine::{
     refine_weights, refine_weights_solver_free, refine_weights_with, RefineOptions, RefineRecord,
 };
 pub use resistance::{
-    build_resistance_estimator, effective_resistance, pairwise_effective_resistances,
-    sample_node_pairs, ExactSolve, JlSketch, ResistanceEstimator, ResistanceMethod,
-    ResistanceSketch, SpectralSketch,
+    effective_resistance, pairwise_effective_resistances, sample_node_pairs, ExactSolve,
+    ResistanceEstimator, ResistanceSketch, SpectralSketch,
 };
 pub use scaling::{
     edge_scale_factor, edge_scale_factor_with, rayleigh_edge_scaling, rayleigh_scale_factor,

@@ -1,6 +1,6 @@
 //! Quality metrics: the quantities plotted in the paper's figures.
 
-use crate::embedding::{smallest_nonzero_eigenvalues, SpectrumMethod};
+use crate::embedding::smallest_nonzero_eigenvalues;
 use crate::error::SglError;
 use sgl_graph::Graph;
 use sgl_linalg::vecops;
@@ -27,10 +27,9 @@ pub fn compare_spectra(
     reference: &Graph,
     approximate: &Graph,
     k: usize,
-    method: SpectrumMethod,
 ) -> Result<SpectrumComparison, SglError> {
-    let r = smallest_nonzero_eigenvalues(reference, k, method)?;
-    let a = smallest_nonzero_eigenvalues(approximate, k, method)?;
+    let r = smallest_nonzero_eigenvalues(reference, k)?;
+    let a = smallest_nonzero_eigenvalues(approximate, k)?;
     Ok(spectrum_comparison_from_values(r, a))
 }
 
@@ -77,7 +76,7 @@ mod tests {
     #[test]
     fn identical_graphs_correlate_perfectly() {
         let g = grid2d(6, 6);
-        let c = compare_spectra(&g, &g, 8, SpectrumMethod::ShiftInvert).unwrap();
+        let c = compare_spectra(&g, &g, 8).unwrap();
         assert!(c.correlation > 0.999999, "corr {}", c.correlation);
         assert!(c.mean_relative_error < 1e-6);
     }
@@ -87,7 +86,7 @@ mod tests {
         let g = grid2d(6, 6);
         let mut h = g.clone();
         h.scale_weights(2.0);
-        let c = compare_spectra(&g, &h, 8, SpectrumMethod::ShiftInvert).unwrap();
+        let c = compare_spectra(&g, &h, 8).unwrap();
         // Scaling multiplies every eigenvalue by 2: perfectly correlated,
         // 100% relative error.
         assert!(c.correlation > 0.999999);
@@ -103,7 +102,7 @@ mod tests {
             let w = if i % 2 == 0 { 100.0 } else { 0.01 };
             h.set_weight(i, w);
         }
-        let c = compare_spectra(&g, &h, 8, SpectrumMethod::ShiftInvert).unwrap();
+        let c = compare_spectra(&g, &h, 8).unwrap();
         assert!(c.mean_relative_error > 0.5);
     }
 

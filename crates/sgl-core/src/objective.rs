@@ -9,7 +9,7 @@
 //! trace term is computed exactly from the quadratic form, and the
 //! sparsity term uses `β = 0` (§II.B shows the edge ranking is unchanged).
 
-use crate::embedding::{smallest_nonzero_eigenvalues, SpectrumMethod};
+use crate::embedding::smallest_nonzero_eigenvalues;
 use crate::error::SglError;
 use crate::measure::Measurements;
 use sgl_graph::laplacian::LaplacianOp;
@@ -23,8 +23,6 @@ pub struct ObjectiveOptions {
     pub num_eigenvalues: usize,
     /// Prior variance σ² (∞ drops the diagonal shift, as in the paper).
     pub sigma_sq: f64,
-    /// Eigenvalue computation method.
-    pub method: SpectrumMethod,
 }
 
 impl Default for ObjectiveOptions {
@@ -32,7 +30,6 @@ impl Default for ObjectiveOptions {
         ObjectiveOptions {
             num_eigenvalues: 50,
             sigma_sq: f64::INFINITY,
-            method: SpectrumMethod::ShiftInvert,
         }
     }
 }
@@ -71,7 +68,7 @@ pub fn objective(
     } else {
         1.0 / opts.sigma_sq
     };
-    let eigs = smallest_nonzero_eigenvalues(graph, q, opts.method)?;
+    let eigs = smallest_nonzero_eigenvalues(graph, q)?;
     let log_det: f64 = eigs
         .iter()
         .map(|&l| (l + shift).max(f64::MIN_POSITIVE).ln())

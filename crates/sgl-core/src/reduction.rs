@@ -66,7 +66,6 @@ pub fn learn_reduced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embedding::SpectrumMethod;
     use crate::metrics::compare_spectra;
     use sgl_datasets::grid2d;
     use sgl_graph::traversal::is_connected;
@@ -94,8 +93,7 @@ mod tests {
         let red = learn_reduced(&meas, 0.3, &quick_config(), 3).unwrap();
         // Eigenvalue *shape* correlation (scale differs since the reduced
         // graph lives on fewer nodes).
-        let cmp =
-            compare_spectra(&truth, &red.result.graph, 8, SpectrumMethod::ShiftInvert).unwrap();
+        let cmp = compare_spectra(&truth, &red.result.graph, 8).unwrap();
         assert!(
             cmp.correlation > 0.8,
             "reduced spectrum correlation {}",

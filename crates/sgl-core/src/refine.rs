@@ -199,7 +199,6 @@ impl RefineResistor for FilteredResistor {
             graph,
             self.width,
             self.seed.wrapping_add(round as u64),
-            None,
             &self.opts,
         )?))
     }
@@ -286,7 +285,6 @@ mod tests {
     use super::*;
     use crate::algorithm::Sgl;
     use crate::config::SglConfig;
-    use crate::embedding::SpectrumMethod;
     use crate::metrics::compare_spectra;
     use sgl_datasets::grid2d;
 
@@ -314,15 +312,13 @@ mod tests {
     #[test]
     fn refinement_improves_or_preserves_spectral_match() {
         let (truth, meas, result) = learn(10, 30, 2);
-        let before = compare_spectra(&truth, &result.graph, 8, SpectrumMethod::ShiftInvert)
+        let before = compare_spectra(&truth, &result.graph, 8)
             .unwrap()
             .mean_relative_error;
         let mut g = result.graph.clone();
         refine_weights(&mut g, &meas, &RefineOptions::default()).unwrap();
         crate::scaling::spectral_edge_scaling(&mut g, &meas).unwrap();
-        let after = compare_spectra(&truth, &g, 8, SpectrumMethod::ShiftInvert)
-            .unwrap()
-            .mean_relative_error;
+        let after = compare_spectra(&truth, &g, 8).unwrap().mean_relative_error;
         assert!(
             after < before + 0.05,
             "refinement degraded eigenvalue error: {before} -> {after}"
@@ -389,7 +385,7 @@ mod tests {
         );
         crate::scaling::solver_free_edge_scaling(&mut sf_g, &meas).unwrap();
         crate::scaling::spectral_edge_scaling(&mut solver_g, &meas).unwrap();
-        let cmp = compare_spectra(&solver_g, &sf_g, 6, SpectrumMethod::ShiftInvert).unwrap();
+        let cmp = compare_spectra(&solver_g, &sf_g, 6).unwrap();
         assert!(
             cmp.mean_relative_error < 0.1,
             "solver-free refine diverged: {cmp:?}"
@@ -398,9 +394,8 @@ mod tests {
         // solver-free graph correlates with the truth as well as the
         // solver-refined one does (small slack for the differing
         // resistance estimators).
-        let sf_vs_truth = compare_spectra(&truth, &sf_g, 6, SpectrumMethod::ShiftInvert).unwrap();
-        let solver_vs_truth =
-            compare_spectra(&truth, &solver_g, 6, SpectrumMethod::ShiftInvert).unwrap();
+        let sf_vs_truth = compare_spectra(&truth, &sf_g, 6).unwrap();
+        let solver_vs_truth = compare_spectra(&truth, &solver_g, 6).unwrap();
         assert!(
             sf_vs_truth.correlation > solver_vs_truth.correlation - 0.02,
             "solver-free {sf_vs_truth:?} vs solver {solver_vs_truth:?}"

@@ -1,49 +1,29 @@
 //! Effective resistance computation behind one trait —
-//! [`ResistanceEstimator`] — with three interchangeable strategies:
+//! [`ResistanceEstimator`] — with three estimators:
 //!
 //! * [`ExactSolve`] — one Laplacian solve per pair through a shared
 //!   [`SolverHandle`] (batched over pair lists);
-//! * [`JlSketch`] (the [`ResistanceSketch`]) — the Spielman–Srivastava
+//! * [`ResistanceSketch`] — the Spielman–Srivastava
 //!   Johnson–Lindenstrauss projection the paper's sample-complexity
-//!   analysis builds on: `q` batched solves of preprocessing, `O(q)` per
-//!   query;
+//!   analysis builds on (eq. 18): `q` batched solves of preprocessing,
+//!   `O(q)` per query. Weight refinement and sparsification use it;
 //! * [`SpectralSketch`] — a *solver-free* truncated-spectrum sketch in
-//!   the spirit of SF-SGL (Zhang, Zhao & Feng 2023): approximate
-//!   eigenpairs from plain Lanczos (dense eigendecomposition below a
-//!   cutoff), no [`SolverHandle`] construction anywhere.
+//!   the spirit of SF-SGL (Zhang, Zhao & Feng 2023): a dense
+//!   eigendecomposition below a cutoff, filtered Rayleigh–Ritz
+//!   extraction above it, no [`SolverHandle`] construction anywhere.
 //!
-//! Which strategy runs is chosen by [`ResistanceMethod`] in
-//! `SglConfig`; a session materializes it with
-//! [`build_resistance_estimator`] against its shared solver context.
+//! A session serves the estimator of its strategy:
+//! [`LearnStrategyKind::resistance_estimator`](crate::LearnStrategyKind::resistance_estimator)
+//! returns [`ExactSolve`] for the solver strategy and [`SpectralSketch`]
+//! for the solver-free one.
 
 use crate::error::SglError;
 use sgl_graph::laplacian::{laplacian_csr, LaplacianOp};
 use sgl_graph::Graph;
-use sgl_linalg::lanczos::{lanczos_smallest, LanczosOptions, SpectralPairs};
+use sgl_linalg::lanczos::SpectralPairs;
 use sgl_linalg::{filtered_spectrum, DenseMatrix, FilteredSpectrumOptions, Rng, SymEig};
-use sgl_solver::{SolverContext, SolverHandle, SolverPolicy};
+use sgl_solver::{SolverHandle, SolverPolicy};
 use std::sync::Arc;
-
-/// Which effective-resistance estimator the pipeline should use
-/// (plain data, carried by `SglConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResistanceMethod {
-    /// One exact Laplacian solve per queried pair (batched per list).
-    #[default]
-    ExactSolve,
-    /// JL sketch with the given projection count (0 = auto:
-    /// [`ResistanceSketch::recommended_projections`] at ε = 0.5).
-    JlSketch {
-        /// Number of random projections `q` (0 = auto).
-        projections: usize,
-    },
-    /// Solver-free truncated-spectrum sketch with the given width
-    /// (0 = auto: full spectrum up to [`SpectralSketch::AUTO_WIDTH_CAP`]).
-    SpectralSketch {
-        /// Number of nontrivial eigenpairs retained (0 = auto).
-        width: usize,
-    },
-}
 
 /// A prepared effective-resistance oracle for one fixed graph.
 ///
@@ -75,60 +55,6 @@ pub trait ResistanceEstimator: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Build the estimator described by `method` for `graph`, drawing any
-/// needed solver handle from the shared context (the session path).
-///
-/// [`ResistanceMethod::SpectralSketch`] never touches the context — the
-/// solver-free pipeline stays solver-free.
-///
-/// # Errors
-/// Propagates solver/eigensolver construction failures.
-pub fn build_resistance_estimator(
-    graph: &Graph,
-    method: ResistanceMethod,
-    ctx: &mut SolverContext,
-    seed: u64,
-) -> Result<Box<dyn ResistanceEstimator>, SglError> {
-    match method {
-        ResistanceMethod::ExactSolve => {
-            Ok(Box::new(ExactSolve::from_handle(ctx.handle_for(graph)?)))
-        }
-        ResistanceMethod::JlSketch { projections } => {
-            let q = if projections == 0 {
-                ResistanceSketch::recommended_projections(graph.num_nodes(), 0.5)
-            } else {
-                projections
-            };
-            let handle = ctx.handle_for(graph)?;
-            Ok(Box::new(ResistanceSketch::build_with(
-                handle.as_ref(),
-                graph,
-                q,
-                seed,
-            )?))
-        }
-        ResistanceMethod::SpectralSketch { width } => {
-            // Below the dense cutoff [`SpectralSketch::build`] gives the
-            // exact full spectrum cheaply; above it, the Lanczos route it
-            // would take is far too expensive for an estimator rebuilt
-            // every graph revision — take the filtered Rayleigh–Ritz
-            // extraction (the SF-SGL route: a bounded number of matvecs)
-            // instead.
-            if graph.num_nodes() <= SpectralSketch::DENSE_CUTOFF {
-                Ok(Box::new(SpectralSketch::build(graph, width, seed)?))
-            } else {
-                Ok(Box::new(SpectralSketch::build_filtered(
-                    graph,
-                    width,
-                    seed,
-                    None,
-                    &FilteredSpectrumOptions::default(),
-                )?))
-            }
-        }
-    }
-}
-
 fn check_pair(n: usize, s: usize, t: usize) -> Result<(), SglError> {
     if s >= n || t >= n {
         return Err(SglError::OutOfRange(format!(
@@ -139,6 +65,21 @@ fn check_pair(n: usize, s: usize, t: usize) -> Result<(), SglError> {
         return Err(SglError::OutOfRange(format!(
             "effective resistance needs distinct nodes, got ({s}, {s})"
         )));
+    }
+    Ok(())
+}
+
+/// A spectral sketch needs a connected graph of at least two nodes.
+fn check_sketch_graph(graph: &Graph) -> Result<(), SglError> {
+    if graph.num_nodes() < 2 {
+        return Err(SglError::InvalidGraph(
+            "resistance sketch needs at least two nodes".into(),
+        ));
+    }
+    if !sgl_graph::traversal::is_connected(graph) {
+        return Err(SglError::InvalidGraph(
+            "resistance sketch requires a connected graph".into(),
+        ));
     }
     Ok(())
 }
@@ -247,7 +188,7 @@ pub fn pairwise_effective_resistances(
 }
 
 // ---------------------------------------------------------------------------
-// JlSketch
+// ResistanceSketch (JL)
 // ---------------------------------------------------------------------------
 
 /// A JL sketch of the effective-resistance metric: `q` random projections
@@ -258,9 +199,6 @@ pub struct ResistanceSketch {
     /// `q × N`, row i = zᵢᵀ with zᵢ = L⁺ Bᵀ W^{1/2} cᵢ.
     rows: DenseMatrix,
 }
-
-/// The estimator name of [`ResistanceMethod::JlSketch`].
-pub type JlSketch = ResistanceSketch;
 
 impl ResistanceSketch {
     /// Build a sketch with `q` projections through a default-policy
@@ -380,12 +318,12 @@ impl ResistanceEstimator for ResistanceSketch {
 /// Uses the spectral expansion `R(s,t) = Σ_{j≥2} (u_j[s] − u_j[t])²/λ_j`
 /// truncated to `width` nontrivial eigenpairs, stored as rows
 /// `u_j/√λ_j` so queries are the same squared row-distance as the JL
-/// sketch. Eigenpairs come from a dense eigendecomposition below
+/// sketch. Eigenpairs come from a dense eigendecomposition at or below
 /// [`SpectralSketch::DENSE_CUTOFF`] nodes (where the truncation can run
-/// to the full spectrum and the sketch is *exact*) and from plain
-/// Lanczos on `L` above it — no Laplacian solver is ever constructed,
-/// which is the SF-SGL observation: the resistance step of the learning
-/// loop does not need one.
+/// to the full spectrum and the sketch is *exact*) and from the filtered
+/// Rayleigh–Ritz extraction above it — no Laplacian solver is ever
+/// constructed, which is the SF-SGL observation: the resistance step of
+/// the learning loop does not need one.
 ///
 /// Truncation makes the estimate a *lower bound* (eq. 20) that tightens
 /// as `width` grows and is exact at `width = N − 1`.
@@ -404,71 +342,36 @@ impl SpectralSketch {
     pub const AUTO_WIDTH_CAP: usize = 128;
 
     /// Build a sketch with `width` nontrivial eigenpairs (0 = auto:
-    /// the full spectrum below [`SpectralSketch::DENSE_CUTOFF`] nodes,
-    /// otherwise [`SpectralSketch::AUTO_WIDTH_CAP`]).
+    /// the full spectrum at or below [`SpectralSketch::DENSE_CUTOFF`]
+    /// nodes, otherwise [`SpectralSketch::AUTO_WIDTH_CAP`]).
+    ///
+    /// At or below the cutoff the eigenpairs come from a dense
+    /// eigendecomposition; above it, a dense solve is far too expensive
+    /// for an estimator rebuilt every graph revision, so this is
+    /// [`SpectralSketch::build_filtered`] with default options.
     ///
     /// # Errors
     /// Returns [`SglError::InvalidGraph`] for empty/disconnected graphs
     /// and propagates eigensolver failures.
     pub fn build(graph: &Graph, width: usize, seed: u64) -> Result<Self, SglError> {
         let n = graph.num_nodes();
-        if n < 2 {
-            return Err(SglError::InvalidGraph(
-                "resistance sketch needs at least two nodes".into(),
-            ));
+        if n > Self::DENSE_CUTOFF {
+            return Self::build_filtered(graph, width, seed, &FilteredSpectrumOptions::default());
         }
-        if !sgl_graph::traversal::is_connected(graph) {
-            return Err(SglError::InvalidGraph(
-                "resistance sketch requires a connected graph".into(),
-            ));
-        }
-        let full = n - 1;
-        let width = if width == 0 {
-            if n <= Self::DENSE_CUTOFF {
-                full
-            } else {
-                full.min(Self::AUTO_WIDTH_CAP)
-            }
-        } else {
-            width.min(full)
-        };
-        let (values, vectors): (Vec<f64>, Vec<Vec<f64>>) =
-            if n <= Self::DENSE_CUTOFF || width + 1 >= n {
-                let eig = SymEig::compute(&laplacian_csr(graph).to_dense())?;
-                (
-                    eig.values[1..=width].to_vec(),
-                    (1..=width).map(|j| eig.vectors.column(j)).collect(),
-                )
-            } else {
-                let op = LaplacianOp::new(graph);
-                let ones = vec![1.0; n];
-                let pairs = lanczos_smallest(
-                    &op,
-                    width,
-                    &[ones],
-                    &LanczosOptions {
-                        tol: 1e-8,
-                        max_subspace: (4 * width + 80).min(n - 1),
-                        seed,
-                    },
-                )?;
-                (
-                    pairs.values.clone(),
-                    (0..width).map(|j| pairs.vectors.column(j)).collect(),
-                )
-            };
-        Ok(Self::assemble(values, &vectors, n))
+        check_sketch_graph(graph)?;
+        let width = if width == 0 { n - 1 } else { width.min(n - 1) };
+        let eig = SymEig::compute(&laplacian_csr(graph).to_dense())?;
+        let vectors: Vec<Vec<f64>> = (1..=width).map(|j| eig.vectors.column(j)).collect();
+        Ok(Self::assemble(eig.values[1..=width].to_vec(), &vectors, n))
     }
 
-    /// Build a sketch of `width` nontrivial eigenpairs through the
-    /// filtered Rayleigh–Ritz extraction
-    /// ([`filtered_spectrum`]) — the SF-SGL route: smoothed test
-    /// vectors (weighted-Jacobi low-pass filtering) instead of a Lanczos
-    /// recurrence, optionally warm-started from `basis` (e.g. band
-    /// vectors prolonged from a coarser level). Like
-    /// [`SpectralSketch::build`] this never constructs a Laplacian
-    /// solver; unlike it, the extraction is plain filtered matvecs even
-    /// above the dense cutoff.
+    /// Build a sketch of `width` nontrivial eigenpairs (0 = auto:
+    /// [`SpectralSketch::AUTO_WIDTH_CAP`]) through the filtered
+    /// Rayleigh–Ritz extraction ([`filtered_spectrum`]) — the SF-SGL
+    /// route: smoothed test vectors (weighted-Jacobi low-pass filtering)
+    /// instead of a dense eigendecomposition or a Lanczos recurrence.
+    /// Like [`SpectralSketch::build`] this never constructs a Laplacian
+    /// solver.
     ///
     /// # Errors
     /// Returns [`SglError::InvalidGraph`] for empty/disconnected graphs
@@ -477,20 +380,10 @@ impl SpectralSketch {
         graph: &Graph,
         width: usize,
         seed: u64,
-        basis: Option<&DenseMatrix>,
         opts: &FilteredSpectrumOptions,
     ) -> Result<Self, SglError> {
+        check_sketch_graph(graph)?;
         let n = graph.num_nodes();
-        if n < 2 {
-            return Err(SglError::InvalidGraph(
-                "resistance sketch needs at least two nodes".into(),
-            ));
-        }
-        if !sgl_graph::traversal::is_connected(graph) {
-            return Err(SglError::InvalidGraph(
-                "resistance sketch requires a connected graph".into(),
-            ));
-        }
         let full = n - 1;
         let width = if width == 0 {
             full.min(Self::AUTO_WIDTH_CAP)
@@ -506,7 +399,7 @@ impl SpectralSketch {
         // large fraction of it, damp the sweep count so the Rayleigh–Ritz
         // subspace keeps full rank.
         opts.filter.sweeps = opts.filter.sweeps.min((n / width.max(1)).max(1));
-        let pairs = filtered_spectrum(&op, &diag, width, basis, &opts)?;
+        let pairs = filtered_spectrum(&op, &diag, width, None, &opts)?;
         Ok(Self::from_pairs(&pairs))
     }
 
@@ -611,8 +504,10 @@ pub fn sample_node_pairs(num_nodes: usize, count: usize, seed: u64) -> Vec<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::LearnStrategyKind;
     use sgl_datasets::grid2d;
     use sgl_linalg::vecops;
+    use sgl_solver::SolverContext;
 
     fn default_handle(g: &Graph) -> Arc<dyn SolverHandle> {
         SolverPolicy::default().build_handle(g).unwrap()
@@ -738,7 +633,7 @@ mod tests {
         opts.filter.count = 16;
         opts.filter.sweeps = 24;
         opts.oversample = 12;
-        let filtered = SpectralSketch::build_filtered(&g, 12, 2, None, &opts).unwrap();
+        let filtered = SpectralSketch::build_filtered(&g, 12, 2, &opts).unwrap();
         assert_eq!(filtered.width(), 12);
         let a: Vec<f64> = pairs
             .iter()
@@ -782,31 +677,26 @@ mod tests {
         let g = grid2d(6, 6);
         let pairs = sample_node_pairs(36, 15, 9);
         let mut ctx = SolverContext::new(SolverPolicy::default());
-        let exact = build_resistance_estimator(&g, ResistanceMethod::ExactSolve, &mut ctx, 1)
-            .unwrap()
-            .resistances(&pairs)
+        let spectral = LearnStrategyKind::SolverFree
+            .resistance_estimator(&g, &mut ctx, 1)
             .unwrap();
-        let spectral = build_resistance_estimator(
-            &g,
-            ResistanceMethod::SpectralSketch { width: 0 },
-            &mut ctx,
-            1,
-        )
-        .unwrap()
-        .resistances(&pairs)
-        .unwrap();
+        assert_eq!(spectral.name(), "spectral-sketch");
+        let spectral = spectral.resistances(&pairs).unwrap();
+        // The solver-free estimator never touches the context.
+        assert_eq!(ctx.handles_built(), 0);
+        let exact = LearnStrategyKind::Solver
+            .resistance_estimator(&g, &mut ctx, 1)
+            .unwrap();
+        assert_eq!(exact.name(), "exact-solve");
+        let exact = exact.resistances(&pairs).unwrap();
         for (a, b) in exact.iter().zip(&spectral) {
             assert!((a - b).abs() < 1e-6 * (1.0 + a), "{a} vs {b}");
         }
-        let jl = build_resistance_estimator(
-            &g,
-            ResistanceMethod::JlSketch { projections: 800 },
-            &mut ctx,
-            1,
-        )
-        .unwrap()
-        .resistances(&pairs)
-        .unwrap();
+        let handle = ctx.handle_for(&g).unwrap();
+        let jl = ResistanceSketch::build_with(handle.as_ref(), &g, 800, 1)
+            .unwrap()
+            .resistances(&pairs)
+            .unwrap();
         assert!(vecops::pearson(&exact, &jl) > 0.97);
         // The exact and JL estimators share the context's handle.
         assert_eq!(ctx.handles_built(), 1);

@@ -41,7 +41,7 @@ use crate::config::SglConfig;
 use crate::embedding::{Embedding, EmbeddingOptions};
 use crate::error::SglError;
 use crate::measure::Measurements;
-use crate::resistance::{build_resistance_estimator, ResistanceEstimator};
+use crate::resistance::ResistanceEstimator;
 use crate::sensitivity::{Candidate, CandidatePool};
 use crate::strategy::LearnStrategyKind;
 use sgl_graph::mst::maximum_spanning_tree;
@@ -231,7 +231,7 @@ impl<'m> SglSession<'m> {
         let knn_graph = {
             let _sp = sgl_trace::span!("knn_build", count = n);
             with_session_threads(config.parallelism, || {
-                build_knn_graph(measurements.voltages(), &config.knn_graph_config())
+                build_knn_graph(measurements.voltages(), config.k)
             })
         };
         let mut session = Self::init(config, measurements, knn_graph)?;
@@ -369,31 +369,24 @@ impl<'m> SglSession<'m> {
         self.fallbacks_taken
     }
 
-    /// Materialize the strategy's [`ResistanceMethod`] for the
-    /// *current* learned graph. [`ExactSolve`] and [`JlSketch`] draw the
-    /// shared solver handle from the session's context;
-    /// [`SpectralSketch`] stays solver-free, so a session configured
-    /// with it — or running the solver-free strategy, which remaps the
-    /// solver-backed methods onto it — never constructs a Laplacian
-    /// solver here.
+    /// The strategy's effective-resistance estimator for the *current*
+    /// learned graph ([`LearnStrategyKind::resistance_estimator`]): the
+    /// solver strategy serves [`ExactSolve`] on the session's shared
+    /// solver handle; the solver-free strategy serves a
+    /// [`SpectralSketch`] and never constructs a Laplacian solver here.
     ///
     /// The estimator snapshots the current revision — re-request it
     /// after further [`step`](SglSession::step)s.
     ///
-    /// [`ResistanceMethod`]: crate::resistance::ResistanceMethod
     /// [`ExactSolve`]: crate::resistance::ExactSolve
-    /// [`JlSketch`]: crate::resistance::JlSketch
     /// [`SpectralSketch`]: crate::resistance::SpectralSketch
     ///
     /// # Errors
     /// Propagates solver/eigensolver construction failures.
     pub fn resistance_estimator(&mut self) -> Result<Box<dyn ResistanceEstimator>, SglError> {
         with_session_threads(self.config.parallelism, || {
-            build_resistance_estimator(
+            self.config.strategy.resistance_estimator(
                 &self.graph,
-                self.config
-                    .strategy
-                    .resistance_method(self.config.resistance),
                 &mut self.solver,
                 self.config.seed,
             )
@@ -715,10 +708,7 @@ impl<'m> SglSession<'m> {
         self.measurements = Cow::Owned(self.measurements.hstack(batch)?);
         if self.knn_candidates {
             self.knn_graph = with_session_threads(self.config.parallelism, || {
-                build_knn_graph(
-                    self.measurements.voltages(),
-                    &self.config.knn_graph_config(),
-                )
+                build_knn_graph(self.measurements.voltages(), self.config.k)
             });
         }
         self.pool =

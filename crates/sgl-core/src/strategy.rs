@@ -8,8 +8,8 @@
 //!
 //! * [`LearnStrategyKind::Solver`] — LOBPCG embedding with a
 //!   shift-invert fallback through the session's [`SolverContext`],
-//!   solve-based Step-5 scaling and weight refinement, and the
-//!   configured resistance estimator.
+//!   solve-based Step-5 scaling and weight refinement, and exact-solve
+//!   effective resistances.
 //! * [`LearnStrategyKind::SolverFree`] — the SF-SGL path: multilevel
 //!   band-filtered embeddings ([`BandedEigBackend`]), matvec-only
 //!   scaling and refinement, and the spectral-sketch resistance
@@ -28,7 +28,7 @@
 use crate::error::SglError;
 use crate::measure::Measurements;
 use crate::refine::{refine_weights_solver_free, refine_weights_with, RefineOptions, RefineRecord};
-use crate::resistance::ResistanceMethod;
+use crate::resistance::{ExactSolve, ResistanceEstimator, SpectralSketch};
 use crate::scaling::{solver_free_edge_scaling, spectral_edge_scaling_with};
 use sgl_graph::Graph;
 use sgl_solver::SolverContext;
@@ -103,20 +103,24 @@ impl LearnStrategyKind {
         }
     }
 
-    /// The resistance estimator sessions materialize for the
-    /// `configured` method. The solver strategy honors it unchanged.
-    /// Exact solves and the JL sketch both run Laplacian systems, so the
-    /// solver-free strategy maps them onto the auto-width spectral
-    /// sketch, the one estimator that stays matvec-only; an explicit
-    /// sketch width is honored.
-    pub fn resistance_method(self, configured: ResistanceMethod) -> ResistanceMethod {
-        match (self, configured) {
-            (LearnStrategyKind::Solver, method) => method,
-            (LearnStrategyKind::SolverFree, ResistanceMethod::SpectralSketch { width }) => {
-                ResistanceMethod::SpectralSketch { width }
-            }
-            (LearnStrategyKind::SolverFree, _) => ResistanceMethod::SpectralSketch { width: 0 },
-        }
+    /// The effective-resistance oracle for `graph`: exact solves
+    /// through a handle drawn from `ctx`, or the auto-width
+    /// [`SpectralSketch`] (exact below its dense cutoff, filtered above
+    /// it), which never consults `ctx` — the solver-free strategy stays
+    /// solver-free.
+    ///
+    /// # Errors
+    /// Propagates solver/eigensolver construction failures.
+    pub fn resistance_estimator(
+        self,
+        graph: &Graph,
+        ctx: &mut SolverContext,
+        seed: u64,
+    ) -> Result<Box<dyn ResistanceEstimator>, SglError> {
+        Ok(match self {
+            LearnStrategyKind::Solver => Box::new(ExactSolve::from_handle(ctx.handle_for(graph)?)),
+            LearnStrategyKind::SolverFree => Box::new(SpectralSketch::build(graph, 0, seed)?),
+        })
     }
 }
 
@@ -130,28 +134,6 @@ mod tests {
         assert_eq!(LearnStrategyKind::default(), LearnStrategyKind::Solver);
         assert_eq!(LearnStrategyKind::Solver.as_str(), "solver");
         assert_eq!(LearnStrategyKind::SolverFree.as_str(), "solver-free");
-    }
-
-    #[test]
-    fn solver_bound_resistance_methods_are_remapped() {
-        let s = LearnStrategyKind::SolverFree;
-        assert_eq!(
-            s.resistance_method(ResistanceMethod::ExactSolve),
-            ResistanceMethod::SpectralSketch { width: 0 }
-        );
-        assert_eq!(
-            s.resistance_method(ResistanceMethod::JlSketch { projections: 32 }),
-            ResistanceMethod::SpectralSketch { width: 0 }
-        );
-        assert_eq!(
-            s.resistance_method(ResistanceMethod::SpectralSketch { width: 12 }),
-            ResistanceMethod::SpectralSketch { width: 12 }
-        );
-        // The solver strategy keeps whatever was configured.
-        assert_eq!(
-            LearnStrategyKind::Solver.resistance_method(ResistanceMethod::ExactSolve),
-            ResistanceMethod::ExactSolve
-        );
     }
 
     #[test]

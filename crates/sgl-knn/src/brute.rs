@@ -1,6 +1,5 @@
 //! Exact brute-force nearest-neighbor search.
 
-use crate::NearestNeighbors;
 use sgl_linalg::{par, vecops, DenseMatrix};
 
 /// Exact kNN by linear scan; whole neighbor tables are built in parallel
@@ -16,6 +15,20 @@ impl BruteForceKnn {
     /// Index the rows of `data`.
     pub fn new(data: &DenseMatrix) -> Self {
         BruteForceKnn { data: data.clone() }
+    }
+
+    /// The `k` nearest points to `query`, as `(index, squared_distance)`
+    /// pairs in ascending distance order (fewer than `k` when the index
+    /// holds fewer points).
+    pub fn knn(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
+        self.scan(query, k, None)
+    }
+
+    /// Like [`BruteForceKnn::knn`] for an indexed point, excluding the
+    /// point itself.
+    pub fn knn_of_point(&self, index: usize, k: usize) -> Vec<(usize, f64)> {
+        let q = self.data.row(index).to_vec();
+        self.scan(&q, k, Some(index))
     }
 
     /// Neighbor tables for every indexed point (excluding self),
@@ -53,25 +66,6 @@ impl BruteForceKnn {
             }
         }
         best
-    }
-}
-
-impl NearestNeighbors for BruteForceKnn {
-    fn num_points(&self) -> usize {
-        self.data.nrows()
-    }
-
-    fn dim(&self) -> usize {
-        self.data.ncols()
-    }
-
-    fn knn(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        self.scan(query, k, None)
-    }
-
-    fn knn_of_point(&self, index: usize, k: usize) -> Vec<(usize, f64)> {
-        let q = self.data.row(index).to_vec();
-        self.scan(&q, k, Some(index))
     }
 }
 

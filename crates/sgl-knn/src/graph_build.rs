@@ -10,72 +10,34 @@
 //! Laplacian machinery always sees a connected graph.
 
 use crate::brute::BruteForceKnn;
-use crate::hnsw::{HnswIndex, HnswParams};
-use crate::NearestNeighbors;
 use sgl_graph::traversal::connected_components;
 use sgl_graph::Graph;
 use sgl_linalg::{vecops, DenseMatrix};
 
-/// Which index to use for neighbor search.
-#[derive(Debug, Clone, Default)]
-pub enum KnnMethod {
-    /// Exact search; `O(N² M)` build, the default for paper-sized runs.
-    #[default]
-    Brute,
-    /// Approximate HNSW search for large `N`.
-    Hnsw(HnswParams),
-}
-
-/// Configuration for [`build_knn_graph`].
-///
-/// There is no per-call thread knob: the brute-force path fans out over
-/// the shared [`par`](sgl_linalg::par) layer, so the ambient thread
-/// count (`SglConfig::parallelism`, a
-/// [`par::with_threads`](sgl_linalg::par::with_threads) scope, or
-/// `SGL_NUM_THREADS`) governs it like every other parallel stage.
-#[derive(Debug, Clone)]
-pub struct KnnGraphConfig {
-    /// Neighbors per node (the paper uses `k = 5`).
-    pub k: usize,
-    /// Search backend.
-    pub method: KnnMethod,
-    /// Relative floor for squared distances (guards duplicate rows).
-    pub dist_floor_rel: f64,
-}
-
-impl Default for KnnGraphConfig {
-    fn default() -> Self {
-        KnnGraphConfig {
-            k: 5,
-            method: KnnMethod::Brute,
-            dist_floor_rel: 1e-8,
-        }
-    }
-}
+/// Floor for squared neighbor distances, relative to the median one
+/// (guards duplicate rows).
+const DIST_FLOOR_REL: f64 = 1e-8;
 
 /// Build the weighted kNN graph over the rows of `x` (an `N × M`
-/// measurement matrix).
+/// measurement matrix) with `k` neighbors per node (the paper uses
+/// `k = 5`).
+///
+/// There is no per-call thread knob: the search fans out over the shared
+/// [`par`](sgl_linalg::par) layer, so the ambient thread count
+/// (`SglConfig::parallelism`, a
+/// [`par::with_threads`](sgl_linalg::par::with_threads) scope, or
+/// `SGL_NUM_THREADS`) governs it like every other parallel stage.
 ///
 /// # Panics
 /// Panics if `x` has fewer than 2 rows, zero columns, or `k == 0`.
-pub fn build_knn_graph(x: &DenseMatrix, config: &KnnGraphConfig) -> Graph {
+pub fn build_knn_graph(x: &DenseMatrix, k: usize) -> Graph {
     let n = x.nrows();
     let m = x.ncols();
     assert!(n >= 2, "knn graph needs at least two nodes");
     assert!(m >= 1, "knn graph needs at least one measurement column");
-    assert!(config.k >= 1, "k must be positive");
+    assert!(k >= 1, "k must be positive");
 
-    // Neighbor tables.
-    let tables: Vec<Vec<(usize, f64)>> = match &config.method {
-        KnnMethod::Brute => {
-            let idx = BruteForceKnn::new(x);
-            idx.all_knn(config.k)
-        }
-        KnnMethod::Hnsw(params) => {
-            let idx = HnswIndex::build(x, params.clone());
-            (0..n).map(|i| idx.knn_of_point(i, config.k)).collect()
-        }
-    };
+    let tables = BruteForceKnn::new(x).all_knn(k);
 
     // Distance floor: relative to the median neighbor distance.
     let mut all_d: Vec<f64> = tables
@@ -85,7 +47,7 @@ pub fn build_knn_graph(x: &DenseMatrix, config: &KnnGraphConfig) -> Graph {
         .collect();
     all_d.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = all_d.get(all_d.len() / 2).copied().unwrap_or(1.0);
-    let floor = (median * config.dist_floor_rel).max(f64::MIN_POSITIVE);
+    let floor = (median * DIST_FLOOR_REL).max(f64::MIN_POSITIVE);
 
     let mut g = Graph::new(n);
     for (i, table) in tables.iter().enumerate() {
@@ -161,13 +123,7 @@ mod tests {
     #[test]
     fn ring_gives_ring_graph() {
         let x = ring_data(40);
-        let g = build_knn_graph(
-            &x,
-            &KnnGraphConfig {
-                k: 2,
-                ..KnnGraphConfig::default()
-            },
-        );
+        let g = build_knn_graph(&x, 2);
         assert!(is_connected(&g));
         // 2NN on a ring connects each node to its two ring neighbors.
         assert_eq!(g.num_edges(), 40);
@@ -183,13 +139,7 @@ mod tests {
             vec![1.0, 0.0, 0.0],
             vec![5.0, 0.0, 0.0],
         ]);
-        let g = build_knn_graph(
-            &x,
-            &KnnGraphConfig {
-                k: 1,
-                ..KnnGraphConfig::default()
-            },
-        );
+        let g = build_knn_graph(&x, 1);
         // Edge (0,1): dist² = 1, M = 3 → w = 3.
         let i = g.find_edge(0, 1).unwrap();
         assert!((g.edge(i).weight - 3.0).abs() < 1e-12);
@@ -207,13 +157,7 @@ mod tests {
             rows.push(vec![100.0 + rng.uniform() * 0.1, rng.uniform() * 0.1]);
         }
         let x = DenseMatrix::from_rows(&rows);
-        let g = build_knn_graph(
-            &x,
-            &KnnGraphConfig {
-                k: 1,
-                ..KnnGraphConfig::default()
-            },
-        );
+        let g = build_knn_graph(&x, 1);
         assert!(is_connected(&g));
     }
 
@@ -224,42 +168,9 @@ mod tests {
             vec![1.0, 1.0], // exact duplicate
             vec![2.0, 2.0],
         ]);
-        let g = build_knn_graph(&x, &KnnGraphConfig::default());
+        let g = build_knn_graph(&x, 5);
         for e in g.edges() {
             assert!(e.weight.is_finite());
         }
-    }
-
-    #[test]
-    fn hnsw_backend_agrees_on_structure() {
-        let x = ring_data(100);
-        let brute = build_knn_graph(
-            &x,
-            &KnnGraphConfig {
-                k: 3,
-                ..KnnGraphConfig::default()
-            },
-        );
-        let hnsw = build_knn_graph(
-            &x,
-            &KnnGraphConfig {
-                k: 3,
-                method: KnnMethod::Hnsw(HnswParams::default()),
-                ..KnnGraphConfig::default()
-            },
-        );
-        assert!(is_connected(&hnsw));
-        // Edge sets overlap heavily on easy data.
-        let mut shared = 0;
-        for e in brute.edges() {
-            if hnsw.has_edge(e.u, e.v) {
-                shared += 1;
-            }
-        }
-        assert!(
-            shared as f64 >= 0.9 * brute.num_edges() as f64,
-            "HNSW graph too different: {shared}/{}",
-            brute.num_edges()
-        );
     }
 }

@@ -1,20 +1,18 @@
-//! k-nearest-neighbor search and kNN-graph construction for SGL.
+//! Exact k-nearest-neighbor search and kNN-graph construction for SGL.
 //!
 //! SGL's Step 1 builds a connected kNN graph over the rows of the voltage
 //! measurement matrix `X ∈ R^{N×M}` (each node is its `M`-dimensional
 //! voltage profile) with edge weights `w_{s,t} = M / ‖X^T e_{s,t}‖²`.
-//! The paper cites HNSW \[8\] for scalable construction; this crate
-//! provides:
+//! This crate provides:
 //!
-//! * [`BruteForceKnn`] — exact search, multi-threaded, the ground truth;
-//! * [`HnswIndex`] — a from-scratch hierarchical navigable small world
-//!   index for large instances;
+//! * [`BruteForceKnn`] — exact search, multi-threaded over the shared
+//!   parallel layer;
 //! * [`build_knn_graph`] — the full Step-1 pipeline: neighbor search,
 //!   symmetrization, `M/dist²` weighting, and connectivity repair.
 //!
 //! # Example
 //! ```
-//! use sgl_knn::{BruteForceKnn, NearestNeighbors};
+//! use sgl_knn::BruteForceKnn;
 //! use sgl_linalg::DenseMatrix;
 //!
 //! let pts = DenseMatrix::from_rows(&[vec![0.0], vec![1.0], vec![10.0]]);
@@ -26,64 +24,6 @@
 
 pub mod brute;
 pub mod graph_build;
-pub mod hnsw;
 
 pub use brute::BruteForceKnn;
-pub use graph_build::{build_knn_graph, KnnGraphConfig, KnnMethod};
-pub use hnsw::{HnswIndex, HnswParams};
-
-/// A nearest-neighbor index over a fixed point set.
-pub trait NearestNeighbors {
-    /// Number of indexed points.
-    fn num_points(&self) -> usize;
-
-    /// Dimensionality of the points.
-    fn dim(&self) -> usize;
-
-    /// The `k` nearest points to `query`, as `(index, squared_distance)`
-    /// pairs in ascending distance order. May return fewer than `k` when
-    /// the index holds fewer points; approximate indexes may miss true
-    /// neighbors.
-    fn knn(&self, query: &[f64], k: usize) -> Vec<(usize, f64)>;
-
-    /// Like [`NearestNeighbors::knn`] for an indexed point, excluding the
-    /// point itself.
-    fn knn_of_point(&self, index: usize, k: usize) -> Vec<(usize, f64)>;
-}
-
-/// Recall of an approximate result against the exact one (fraction of
-/// exact neighbors recovered).
-pub fn recall(exact: &[(usize, f64)], approx: &[(usize, f64)]) -> f64 {
-    if exact.is_empty() {
-        return 1.0;
-    }
-    let exact_ids: std::collections::HashSet<usize> = exact.iter().map(|&(i, _)| i).collect();
-    let hit = approx
-        .iter()
-        .filter(|&&(i, _)| exact_ids.contains(&i))
-        .count();
-    hit as f64 / exact.len() as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recall_of_identical_sets_is_one() {
-        let e = vec![(0, 0.1), (1, 0.2)];
-        assert_eq!(recall(&e, &e), 1.0);
-    }
-
-    #[test]
-    fn recall_counts_misses() {
-        let e = vec![(0, 0.1), (1, 0.2)];
-        let a = vec![(0, 0.1), (5, 0.3)];
-        assert_eq!(recall(&e, &a), 0.5);
-    }
-
-    #[test]
-    fn recall_empty_exact_is_one() {
-        assert_eq!(recall(&[], &[(1, 0.5)]), 1.0);
-    }
-}
+pub use graph_build::build_knn_graph;

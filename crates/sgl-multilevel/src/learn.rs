@@ -93,7 +93,9 @@ pub struct MultilevelOptions {
     /// Prune a prolonged level back to this density (edges/node) when
     /// it exceeds it; `None` never prunes. The in-cycle check is
     /// eigenvalue-free (`check_eigs = 0` is forced) — verify the final
-    /// graph instead.
+    /// graph instead — and the pruning follows `SglConfig::strategy`
+    /// (its `strategy` field is overridden), so a solver-free run
+    /// prunes without a solve.
     pub target_density: Option<f64>,
     /// Estimator settings for the in-cycle pruning.
     pub sparsify: SparsifyOptions,
@@ -188,7 +190,7 @@ pub fn learn_multilevel(
 ) -> Result<MultilevelResult, SglError> {
     config.validate()?;
     let candidate = with_threads_hint(config.parallelism, || {
-        build_knn_graph(measurements.voltages(), &config.knn_graph_config())
+        build_knn_graph(measurements.voltages(), config.k)
     });
     learn_multilevel_from_candidate(config, measurements, candidate, opts)
 }
@@ -231,7 +233,8 @@ fn learn_inner(
 ) -> Result<MultilevelResult, SglError> {
     // One strategy drives the whole V-cycle: the coarse session runs it
     // from the config, and the upward sweep's embeds, weight refinement,
-    // and finest-level Step 5 all follow `config.strategy` — so a
+    // in-cycle pruning and finest-level Step 5 all follow
+    // `config.strategy` — so a
     // solver-free config keeps the entire multilevel run at
     // `solves == 0` / `handles_built == 0`.
     let hierarchy = {
@@ -345,6 +348,7 @@ fn learn_inner(
                     &fine,
                     target,
                     &SparsifyOptions {
+                        strategy: config.strategy,
                         check_eigs: 0,
                         ..opts.sparsify.clone()
                     },
@@ -575,13 +579,12 @@ mod tests {
 
     #[test]
     fn spectrum_tracks_flat_learning() {
-        use sgl_core::{compare_spectra, SpectrumMethod};
+        use sgl_core::compare_spectra;
         let truth = sgl_datasets::grid2d(16, 16);
         let meas = Measurements::generate(&truth, 30, 3).unwrap();
         let flat = Sgl::new(quick_config()).learn(&meas).unwrap();
         let multi = learn_multilevel(&quick_config(), &meas, &quick_opts(64)).unwrap();
-        let cmp =
-            compare_spectra(&flat.graph, &multi.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
+        let cmp = compare_spectra(&flat.graph, &multi.graph, 6).unwrap();
         assert!(
             cmp.mean_relative_error < 0.10,
             "multilevel spectrum drifted {:.3} from flat",

@@ -22,9 +22,10 @@
 //!   [`refine_weights_with`](sgl_core::refine_weights_with) sweeps per
 //!   level;
 //! * [`sparsify`] — [`sparsify_by_resistance`]: leverage-score edge
-//!   sampling through a pluggable
-//!   [`ResistanceEstimator`](sgl_core::ResistanceEstimator), pruning a
-//!   graph to a target density without ever disconnecting it, with a
+//!   sampling through the learning strategy's resistance sketch (a JL
+//!   [`ResistanceSketch`](sgl_core::ResistanceSketch), or the solver-free
+//!   [`SpectralSketch`](sgl_core::SpectralSketch)), pruning a graph to a
+//!   target density without ever disconnecting it, with a
 //!   spectral-similarity check.
 //!
 //! The coarsening modules live in `sgl-core`, whose solver-free

@@ -5,29 +5,35 @@
 //! spectral-sparsification sampling weight of Spielman–Srivastava — and
 //! the lowest-leverage edges are dropped until the graph meets a target
 //! density. A maximum spanning tree is always kept, so connectivity
-//! survives any target. The resistances come from a pluggable
-//! [`ResistanceEstimator`](sgl_core::ResistanceEstimator), and a
+//! survives any target. The resistances follow the learning strategy:
+//! a 64-projection JL [`ResistanceSketch`] through the options' solver
+//! policy, or the solver-free [`SpectralSketch`]. An optional
 //! spectral-similarity check compares the low eigenvalues before and
 //! after pruning.
 
 use sgl_core::{
-    build_resistance_estimator, compare_spectra, ResistanceMethod, SglError, SpectrumComparison,
-    SpectrumMethod,
+    compare_spectra, LearnStrategyKind, ResistanceEstimator, ResistanceSketch, SglError,
+    SpectralSketch, SpectrumComparison,
 };
 use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::Graph;
 use sgl_solver::{SolveStats, SolverContext, SolverPolicy};
 
+/// JL projections of the solver strategy's leverage sketch: one batched
+/// solve of this many right-hand sides scores every edge.
+const JL_PROJECTIONS: usize = 64;
+
 /// Options for [`sparsify_by_resistance`].
 #[derive(Debug, Clone)]
 pub struct SparsifyOptions {
-    /// Effective-resistance estimator (the JL sketch amortizes one
-    /// batched solve over every edge; `SpectralSketch` keeps the whole
-    /// pass solver-free).
-    pub method: ResistanceMethod,
-    /// Solver policy for estimators that need solves.
+    /// Which strategy's resistance estimator scores the edges:
+    /// [`LearnStrategyKind::Solver`] amortizes one batched solve over
+    /// every edge (the JL sketch); [`LearnStrategyKind::SolverFree`]
+    /// keeps the whole pass solver-free (the spectral sketch).
+    pub strategy: LearnStrategyKind,
+    /// Solver policy of the JL sketch's solves.
     pub policy: SolverPolicy,
-    /// Seed for sketch-based estimators.
+    /// Seed of either sketch.
     pub seed: u64,
     /// Compare this many low nonzero eigenvalues before/after pruning
     /// (0 skips the check — e.g. inside a V-cycle where the caller
@@ -41,7 +47,7 @@ pub struct SparsifyOptions {
 impl Default for SparsifyOptions {
     fn default() -> Self {
         SparsifyOptions {
-            method: ResistanceMethod::JlSketch { projections: 64 },
+            strategy: LearnStrategyKind::Solver,
             policy: SolverPolicy::default(),
             seed: 0x5BA6,
             check_eigs: 6,
@@ -111,7 +117,18 @@ pub fn sparsify_by_resistance(
     }
 
     let mut ctx = SolverContext::new(opts.policy.clone());
-    let estimator = build_resistance_estimator(graph, opts.method, &mut ctx, opts.seed)?;
+    let estimator: Box<dyn ResistanceEstimator> = match opts.strategy {
+        LearnStrategyKind::Solver => {
+            let handle = ctx.handle_for(graph)?;
+            Box::new(ResistanceSketch::build_with(
+                handle.as_ref(),
+                graph,
+                JL_PROJECTIONS,
+                opts.seed,
+            )?)
+        }
+        LearnStrategyKind::SolverFree => Box::new(SpectralSketch::build(graph, 0, opts.seed)?),
+    };
     let tree = maximum_spanning_tree(graph);
     let off = tree.off_tree_edges();
     let pairs: Vec<(usize, usize)> = off
@@ -138,12 +155,7 @@ pub fn sparsify_by_resistance(
 
     let spectral = if opts.check_eigs > 0 {
         let k = opts.check_eigs.min(n.saturating_sub(2)).max(1);
-        Some(compare_spectra(
-            graph,
-            &pruned,
-            k,
-            SpectrumMethod::ShiftInvert,
-        )?)
+        Some(compare_spectra(graph, &pruned, k)?)
     } else {
         None
     };

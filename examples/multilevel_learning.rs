@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example multilevel_learning`
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ground truth: a 40×40 resistor mesh, measured 30 times.
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The two learners should agree spectrally.
-    let cmp = compare_spectra(&flat.graph, &multi.graph, 8, SpectrumMethod::ShiftInvert)?;
+    let cmp = compare_spectra(&flat.graph, &multi.graph, 8)?;
     println!(
         "spectrum vs flat: correlation {:.4}, mean relative error {:.3}",
         cmp.correlation, cmp.mean_relative_error

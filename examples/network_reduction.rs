@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example network_reduction`
 
 use sgl::prelude::*;
-use sgl_core::{learn_reduced, smallest_nonzero_eigenvalues, SpectrumMethod};
+use sgl_core::{learn_reduced, smallest_nonzero_eigenvalues};
 use sgl_linalg::vecops;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,12 +15,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let measurements = Measurements::generate(&truth, 80, 2)?;
     let config = SglConfig::default().with_tol(1e-9).with_max_iterations(120);
-    let true_eigs = smallest_nonzero_eigenvalues(&truth, 12, SpectrumMethod::ShiftInvert)?;
+    let true_eigs = smallest_nonzero_eigenvalues(&truth, 12)?;
 
     for fraction in [0.2, 0.1] {
         let red = learn_reduced(&measurements, fraction, &config, 7)?;
-        let red_eigs =
-            smallest_nonzero_eigenvalues(&red.result.graph, 12, SpectrumMethod::ShiftInvert)?;
+        let red_eigs = smallest_nonzero_eigenvalues(&red.result.graph, 12)?;
         println!(
             "\n{:.0}% of node voltages -> {} ({:.1}x smaller)",
             fraction * 100.0,

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example noisy_measurements`
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let truth = sgl_datasets::grid2d(25, 25);
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for zeta in [0.0, 0.1, 0.25, 0.5] {
         let noisy = clean.with_noise(zeta, 123);
         let result = Sgl::new(config.clone()).learn(&noisy)?;
-        let cmp = compare_spectra(&truth, &result.graph, 12, SpectrumMethod::ShiftInvert)?;
+        let cmp = compare_spectra(&truth, &result.graph, 12)?;
         println!(
             "{:>9.0}% {:>10.3} {:>12.4} {:>14.3}",
             zeta * 100.0,

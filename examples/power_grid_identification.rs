@@ -10,10 +10,7 @@
 //! Run with: `cargo run --release --example power_grid_identification`
 
 use sgl::prelude::*;
-use sgl_core::{
-    compare_spectra, pairwise_effective_resistances, sample_node_pairs, SolverPolicy,
-    SpectrumMethod,
-};
+use sgl_core::{compare_spectra, pairwise_effective_resistances, sample_node_pairs, SolverPolicy};
 use sgl_linalg::vecops;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("learned model : {}", result.graph);
 
     // Spectral fidelity.
-    let cmp = compare_spectra(&truth, &result.graph, 15, SpectrumMethod::ShiftInvert)?;
+    let cmp = compare_spectra(&truth, &result.graph, 15)?;
     println!(
         "spectrum      : correlation {:.4}, mean rel err {:.3}",
         cmp.correlation, cmp.mean_relative_error

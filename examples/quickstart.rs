@@ -3,7 +3,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Ground truth: a 20×20 resistor mesh (unit conductances).
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. How well does the learned graph preserve the true spectrum?
-    let cmp = compare_spectra(&truth, &result.graph, 10, SpectrumMethod::ShiftInvert)?;
+    let cmp = compare_spectra(&truth, &result.graph, 10)?;
     println!(
         "spectrum       : correlation {:.4}, mean relative error {:.3}",
         cmp.correlation, cmp.mean_relative_error

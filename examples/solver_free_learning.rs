@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example solver_free_learning`
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Ground truth and simulated measurements, as in the quickstart.
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Agreement --------------------------------------------------------
     // The two arms learn the same structure: first-6 eigenvalues within
     // a few percent, correlation ≥ 0.99 (the tracked bench_learn gate).
-    let cmp = compare_spectra(&solver.graph, &free.graph, 6, SpectrumMethod::ShiftInvert)?;
+    let cmp = compare_spectra(&solver.graph, &free.graph, 6)?;
     println!(
         "agreement    : first-6 eigenvalue mean relative error {:.4}, correlation {:.4}",
         cmp.mean_relative_error, cmp.correlation

@@ -1,13 +1,12 @@
 //! The unified solver-context API: choose how every Laplacian solve in
 //! the pipeline runs — method, tolerance, iteration cap — from configuration,
-//! and go entirely solver-free with the SF-SGL-style spectral sketch.
+//! and go entirely solver-free with the SF-SGL strategy and its spectral
+//! sketch.
 //!
 //! Run with: `cargo run --release --example solver_policy`
 
 use sgl::prelude::*;
-use sgl_core::{
-    pairwise_effective_resistances, sample_node_pairs, PolicyMethod, ResistanceMethod, SolverPolicy,
-};
+use sgl_core::{pairwise_effective_resistances, sample_node_pairs, PolicyMethod, SolverPolicy};
 use sgl_linalg::vecops;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Method selection through the config builder -----------------
     // Every solve the session performs (edge scaling, any shift-invert
-    // fallback, resistance sketching) honors this policy; the session
+    // fallback, exact resistances) honors this policy; the session
     // builds ONE handle per learned-graph revision and shares it.
     let cfg = SglConfig::builder()
         .tol(1e-7)
@@ -38,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let mut session = SglSession::new(cfg, &measurements)?;
     session.run_to_completion()?;
-    // The default (ExactSolve) resistance estimator draws the session's
-    // shared handle; a second request on the same revision reuses it.
+    // The solver strategy's resistance estimator (ExactSolve) draws the
+    // session's shared handle; a second request on the same revision
+    // reuses it.
     let exact = session.resistance_estimator()?;
     let sample = sample_node_pairs(truth.num_nodes(), 20, 3);
     let _ = exact.resistances(&sample)?;
@@ -65,14 +65,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 3. The solver-free mode ----------------------------------------
-    // With voltage-only measurements and the spectral-sketch resistance
-    // estimator, the entire learning loop runs without constructing a
-    // Laplacian solver at all (the SF-SGL observation).
+    // With voltage-only measurements and the solver-free strategy (whose
+    // resistance estimator is the spectral sketch), the entire learning
+    // loop runs without constructing a Laplacian solver at all (the
+    // SF-SGL observation).
     let volts = Measurements::from_voltages(measurements.voltages().clone())?;
     let cfg = SglConfig::builder()
         .tol(1e-7)
         .max_iterations(100)
-        .resistance(ResistanceMethod::SpectralSketch { width: 0 })
+        .strategy(LearnStrategyKind::SolverFree)
         .build()?;
     let mut session = SglSession::new(cfg, &volts)?;
     session.run_to_completion()?;

@@ -10,7 +10,7 @@
 use sgl::prelude::*;
 use sgl_core::{
     compare_spectra, pairwise_effective_resistances, refine_weights, sample_node_pairs,
-    spectral_edge_scaling, RefineOptions, SpectrumMethod,
+    spectral_edge_scaling, RefineOptions,
 };
 use sgl_linalg::vecops;
 
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pairs = sample_node_pairs(truth.num_nodes(), 150, 3);
     let r_true = pairwise_effective_resistances(&truth, &pairs)?;
     let report = |label: &str, g: &sgl_graph::Graph| -> Result<(), Box<dyn std::error::Error>> {
-        let cmp = compare_spectra(&truth, g, 10, SpectrumMethod::ShiftInvert)?;
+        let cmp = compare_spectra(&truth, g, 10)?;
         let r = pairwise_effective_resistances(g, &pairs)?;
         println!(
             "{label:<11} eig corr {:.4}  eig rel-err {:.3}  ER corr {:.4}",

@@ -8,7 +8,7 @@
 //! * [`sgl_linalg`] — dense/sparse linear algebra, eigensolvers, CG, PRNG.
 //! * [`sgl_graph`] — resistor-network graphs, Laplacians, spanning trees.
 //! * [`sgl_solver`] — fast Laplacian solvers (tree solve, PCG, AMG).
-//! * [`sgl_knn`] — kNN graph construction (brute force and HNSW).
+//! * [`sgl_knn`] — exact kNN graph construction (Step 1).
 //! * [`sgl_datasets`] — synthetic meshes and circuit-style test cases.
 //! * [`sgl_core`] — the SGL algorithm itself, with both learning
 //!   strategies: the solver-backed loop and the solver-free SF-SGL loop
@@ -68,7 +68,8 @@
 //! [`SglSession::extend_measurements`](sgl_core::SglSession::extend_measurements),
 //! and `examples/solver_policy.rs` for the config-driven solve layer
 //! ([`SolverPolicy`](sgl_solver::SolverPolicy): method selection, shared
-//! per-revision handles, and the solver-free resistance mode).
+//! per-revision handles, and the solver-free strategy's spectral-sketch
+//! resistances).
 //!
 //! # Multilevel learning
 //!
@@ -208,8 +209,8 @@ pub use sgl_trace;
 pub mod prelude {
     pub use sgl_core::{
         FaultEvent, FaultKind, FaultPlan, IterationRecord, LearnResult, LearnStrategyKind,
-        Measurements, PolicyMethod, ResistanceEstimator, ResistanceMethod, SessionObserver, Sgl,
-        SglConfig, SglError, SglSession, SolverPolicy, StepOutcome, StopVerdict,
+        Measurements, PolicyMethod, ResistanceEstimator, SessionObserver, Sgl, SglConfig, SglError,
+        SglSession, SolverPolicy, StepOutcome, StopVerdict,
     };
     pub use sgl_graph::Graph;
     pub use sgl_multilevel::{

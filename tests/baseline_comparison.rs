@@ -5,7 +5,7 @@
 use sgl::prelude::*;
 use sgl_baseline::{knn_baseline, DenseGspEstimator, DenseGspOptions};
 use sgl_core::{objective, ObjectiveOptions};
-use sgl_knn::{build_knn_graph, KnnGraphConfig};
+use sgl_knn::build_knn_graph;
 
 #[test]
 fn sgl_beats_unscaled_5nn_objective() {
@@ -59,13 +59,7 @@ fn sgl_tracks_the_dense_optimizer() {
     // a modest gap of the dense reference optimum.
     let truth = sgl_datasets::grid2d(7, 7);
     let meas = Measurements::generate(&truth, 30, 3).unwrap();
-    let knn = build_knn_graph(
-        meas.voltages(),
-        &KnnGraphConfig {
-            k: 5,
-            ..KnnGraphConfig::default()
-        },
-    );
+    let knn = build_knn_graph(meas.voltages(), 5);
 
     let dense = DenseGspEstimator::new(DenseGspOptions {
         max_iterations: 150,
@@ -87,7 +81,6 @@ fn sgl_tracks_the_dense_optimizer() {
     let opts = ObjectiveOptions {
         num_eigenvalues: 48,
         sigma_sq: 1e4,
-        ..ObjectiveOptions::default()
     };
     let f_dense = objective(&dense.graph, &meas, &opts).unwrap().total;
     let f_sgl = objective(
@@ -112,13 +105,7 @@ fn sgl_tracks_the_dense_optimizer() {
 fn l1_pressure_shrinks_total_weight() {
     let truth = sgl_datasets::grid2d(6, 6);
     let meas = Measurements::generate(&truth, 25, 4).unwrap();
-    let knn = build_knn_graph(
-        meas.voltages(),
-        &KnnGraphConfig {
-            k: 6,
-            ..KnnGraphConfig::default()
-        },
-    );
+    let knn = build_knn_graph(meas.voltages(), 6);
     let total = |g: &sgl_graph::Graph| -> f64 { g.edges().iter().map(|e| e.weight).sum() };
     let run = |beta: f64| {
         DenseGspEstimator::new(DenseGspOptions {

@@ -4,7 +4,7 @@
 //! connectivity and the low spectrum.
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 use sgl_graph::traversal::is_connected;
 use sgl_multilevel::HierarchyOptions;
 
@@ -41,7 +41,7 @@ fn multilevel_tracks_flat_spectrum_with_fewer_fine_embeds() {
     assert!(*multi.level_sizes.last().unwrap() <= 100);
     assert!(!multi.coarse.trace.is_empty());
 
-    let cmp = compare_spectra(&flat.graph, &multi.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
+    let cmp = compare_spectra(&flat.graph, &multi.graph, 6).unwrap();
     assert!(
         cmp.mean_relative_error < 0.15,
         "multilevel spectrum drifted {:.3} from flat",

@@ -7,7 +7,7 @@
 use sgl::prelude::*;
 use sgl_core::resistance::{sample_node_pairs, ResistanceEstimator, SpectralSketch};
 use sgl_graph::Graph;
-use sgl_knn::{build_knn_graph, KnnGraphConfig};
+use sgl_knn::build_knn_graph;
 use sgl_linalg::{par, vecops, DenseMatrix, Rng};
 use sgl_multilevel::{spectral_affinity_aggregate, AggregationOptions};
 
@@ -62,10 +62,9 @@ fn two_runs_same_seed_agree_across_thread_counts() {
 fn knn_graph_identical_at_any_thread_count() {
     let mut rng = Rng::seed_from_u64(3);
     let x = DenseMatrix::from_fn(150, 6, |_, _| rng.standard_normal());
-    let cfg = KnnGraphConfig::default();
-    let serial = par::with_threads(1, || build_knn_graph(&x, &cfg));
+    let serial = par::with_threads(1, || build_knn_graph(&x, 5));
     for threads in [2usize, 5] {
-        let g = par::with_threads(threads, || build_knn_graph(&x, &cfg));
+        let g = par::with_threads(threads, || build_knn_graph(&x, 5));
         assert_graphs_identical(&serial, &g, &format!("knn at {threads} threads"));
     }
 }

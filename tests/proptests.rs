@@ -140,13 +140,7 @@ fn sensitivities_match_dense_gradient() {
         let (n, seed) = (draw(&mut gen, 8, 16), draw_seed(&mut gen, 300));
         let truth = random_connected_graph(n, n / 2, seed);
         let meas = Measurements::generate(&truth, 4, seed).unwrap();
-        let knn = sgl_knn::build_knn_graph(
-            meas.voltages(),
-            &sgl_knn::KnnGraphConfig {
-                k: 3,
-                ..Default::default()
-            },
-        );
+        let knn = sgl_knn::build_knn_graph(meas.voltages(), 3);
         let tree = maximum_spanning_tree(&knn);
         let tree_graph = tree.to_graph(&knn);
         let width = 3.min(n - 2);
@@ -201,9 +195,9 @@ fn noise_preserves_shapes_and_currents() {
 
 #[test]
 fn resistance_estimators_agree_with_exact() {
-    // JlSketch at the eq.-18 projection count stays within the (1 ± ε)
-    // JL tolerance of ExactSolve, and the solver-free SpectralSketch at
-    // full width matches to solver precision.
+    // The JL ResistanceSketch at the eq.-18 projection count stays within
+    // the (1 ± ε) JL tolerance of ExactSolve, and the solver-free
+    // SpectralSketch at full width matches to solver precision.
     let mut gen = Rng::seed_from_u64(6);
     for _ in 0..CASES {
         let (n, extra, seed) = (

@@ -1,8 +1,8 @@
-//! Cross-crate consistency: all Laplacian solver methods and both
-//! eigensolver families must agree with each other and with dense
-//! reference computations.
+//! Cross-crate consistency: all Laplacian solver methods and the
+//! shift-invert eigenvalue route must agree with each other and with
+//! dense reference computations.
 
-use sgl_core::{smallest_nonzero_eigenvalues, SpectrumMethod};
+use sgl_core::smallest_nonzero_eigenvalues;
 use sgl_graph::laplacian::laplacian_csr;
 use sgl_graph::Graph;
 use sgl_linalg::{vecops, Rng, SymEig};
@@ -73,15 +73,10 @@ fn solver_matches_dense_pseudoinverse() {
 fn eigenvalue_methods_agree_with_dense() {
     let g = sgl_datasets::circuit_grid(8, 8, 1.7, 3);
     let dense = SymEig::compute(&laplacian_csr(&g).to_dense()).unwrap();
-    let a = smallest_nonzero_eigenvalues(&g, 6, SpectrumMethod::Direct).unwrap();
-    let b = smallest_nonzero_eigenvalues(&g, 6, SpectrumMethod::ShiftInvert).unwrap();
+    let got = smallest_nonzero_eigenvalues(&g, 6).unwrap();
     for k in 0..6 {
         assert!(
-            (a[k] - dense.values[k + 1]).abs() < 1e-6 * dense.values[k + 1].max(1.0),
-            "direct eig {k}"
-        );
-        assert!(
-            (b[k] - dense.values[k + 1]).abs() < 1e-6 * dense.values[k + 1].max(1.0),
+            (got[k] - dense.values[k + 1]).abs() < 1e-6 * dense.values[k + 1].max(1.0),
             "shift-invert eig {k}"
         );
     }

@@ -3,7 +3,7 @@
 //! and is bit-identical at any thread count.
 
 use sgl::prelude::*;
-use sgl_core::{compare_spectra, SpectrumMethod};
+use sgl_core::compare_spectra;
 
 fn scenario() -> (sgl_graph::Graph, Measurements) {
     let truth = sgl_datasets::grid2d(12, 12);
@@ -50,7 +50,7 @@ fn solver_free_learn_tracks_the_solver_path_spectrally() {
     let free = Sgl::new(config(LearnStrategyKind::SolverFree))
         .learn(&meas)
         .unwrap();
-    let cmp = compare_spectra(&solver.graph, &free.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
+    let cmp = compare_spectra(&solver.graph, &free.graph, 6).unwrap();
     assert!(
         cmp.mean_relative_error < 0.05,
         "first-6 eigenvalue error must stay within 5%: {cmp:?}"
@@ -104,11 +104,39 @@ fn multilevel_learn_stays_solver_free_end_to_end() {
     // And it still lands near the solver-backed V-cycle spectrally.
     let solver = learn_multilevel(&config(LearnStrategyKind::Solver), &meas, &opts).unwrap();
     assert!(solver.solver_stats.solves > 0, "control arm does solve");
-    let cmp = compare_spectra(&solver.graph, &free.graph, 6, SpectrumMethod::ShiftInvert).unwrap();
+    let cmp = compare_spectra(&solver.graph, &free.graph, 6).unwrap();
     assert!(
         cmp.correlation > 0.98 && cmp.mean_relative_error < 0.15,
         "multilevel solver-free drifted: {cmp:?}"
     );
+}
+
+#[test]
+fn multilevel_in_cycle_pruning_stays_solver_free() {
+    use sgl_multilevel::HierarchyOptions;
+    let truth = sgl_datasets::grid2d(14, 14);
+    let meas = Measurements::generate(&truth, 25, 9).unwrap();
+    let target = 1.05;
+    let opts = MultilevelOptions {
+        hierarchy: HierarchyOptions {
+            coarsest_size: 49,
+            ..HierarchyOptions::default()
+        },
+        target_density: Some(target),
+        ..MultilevelOptions::default()
+    };
+    let free = learn_multilevel(&config(LearnStrategyKind::SolverFree), &meas, &opts).unwrap();
+    assert!(
+        free.reports.iter().any(|r| r.edges_pruned > 0),
+        "no level pruned: {:?}",
+        free.reports
+    );
+    assert_eq!(
+        free.solver_stats.solves, 0,
+        "solver-free pruning must never solve: {:?}",
+        free.solver_stats
+    );
+    assert!(free.density() <= target, "density {}", free.density());
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! The unified solver-context API end to end: config-driven solver
-//! policies, shared per-revision handles, batched solves, interchangeable
-//! resistance estimators — and the solver-free learning path.
+//! policies, shared per-revision handles, batched solves, the resistance
+//! estimators — and the solver-free learning path.
 
 use sgl::prelude::*;
 use sgl_core::{
-    pairwise_effective_resistances, sample_node_pairs, PolicyMethod, ResistanceMethod,
-    ResistanceSketch, SolverPolicy, SpectralSketch,
+    pairwise_effective_resistances, sample_node_pairs, PolicyMethod, ResistanceSketch,
+    SolverPolicy, SpectralSketch,
 };
 use sgl_linalg::vecops;
 
@@ -17,23 +17,23 @@ fn delaunay_truth() -> sgl_graph::Graph {
 
 #[test]
 fn spectral_sketch_runs_the_full_loop_without_a_laplacian_solver() {
-    // The SF-SGL claim in miniature: with the solver-free resistance
-    // estimator, voltage-only measurements (no scaling solve), and a
-    // converging LOBPCG embedding, the whole learning loop never builds
-    // a Laplacian solver — witnessed by the session's own build counter.
+    // The SF-SGL claim in miniature: with the solver-free strategy and
+    // voltage-only measurements (no scaling solve), the whole learning
+    // loop and the session's resistance estimator never build a
+    // Laplacian solver — witnessed by the session's own build counter.
     let truth = delaunay_truth();
     let meas = Measurements::generate(&truth, 40, 3).unwrap();
     let volts = Measurements::from_voltages(meas.voltages().clone()).unwrap();
     let cfg = SglConfig::builder()
         .tol(1e-6)
         .max_iterations(100)
-        .resistance(ResistanceMethod::SpectralSketch { width: 0 })
+        .strategy(LearnStrategyKind::SolverFree)
         .build()
         .unwrap();
     let mut session = SglSession::new(cfg, &volts).unwrap();
     session.run_to_completion().unwrap();
 
-    // The configured estimator works on the learned graph, solver-free.
+    // The strategy's estimator works on the learned graph, solver-free.
     let est = session.resistance_estimator().unwrap();
     assert_eq!(est.name(), "spectral-sketch");
     let pairs = sample_node_pairs(truth.num_nodes(), 10, 5);
