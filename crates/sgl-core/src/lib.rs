@@ -106,9 +106,8 @@ pub use resistance::{
     ResistanceEstimator, ResistanceSketch, SpectralSketch,
 };
 pub use scaling::{
-    edge_scale_factor, edge_scale_factor_with, rayleigh_edge_scaling, rayleigh_scale_factor,
-    solver_free_edge_scaling, solver_free_scale_factor, spectral_edge_scaling,
-    spectral_edge_scaling_with,
+    edge_scale_factor, edge_scale_factor_with, solver_free_edge_scaling, solver_free_scale_factor,
+    spectral_edge_scaling, spectral_edge_scaling_with,
 };
 pub use sensitivity::{Candidate, CandidatePool};
 pub use session::{SessionObserver, SglSession, StepOutcome};

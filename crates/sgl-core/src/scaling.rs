@@ -12,7 +12,6 @@ use crate::measure::Measurements;
 use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
 use sgl_linalg::cg::{pcg_solve, CgOptions, JacobiPreconditioner};
-use sgl_linalg::operator::LinearOperator;
 use sgl_linalg::{par, vecops};
 use sgl_solver::{SolverHandle, SolverPolicy};
 
@@ -116,79 +115,6 @@ pub fn edge_scale_factor_with(
     Ok(factor)
 }
 
-/// Solver-free variant of the eq. (23) scale factor (SF-SGL): under the
-/// uniform-misscale model eqs. 21–23 assume (`L = c · L_true`), the
-/// Rayleigh-quotient ratio `Σ_i x_iᵀ y_i / Σ_i x_iᵀ L x_i = 1/c`
-/// recovers the same correction as the solve-based factor — but with
-/// one matvec per measurement column and no Laplacian system. Exact
-/// (not merely approximate) whenever the learned graph is a uniform
-/// rescale of the truth; elsewhere the two factors agree to first
-/// order.
-///
-/// # Errors
-/// Returns [`SglError::InvalidMeasurements`] when no current
-/// measurements are available, on node-count mismatch, or when the
-/// ratio degenerates.
-pub fn rayleigh_scale_factor(graph: &Graph, measurements: &Measurements) -> Result<f64, SglError> {
-    let y = measurements.currents().ok_or_else(|| {
-        SglError::InvalidMeasurements(
-            "edge scaling needs current measurements (Y); construct with Measurements::new \
-             or disable scale_edges"
-                .into(),
-        )
-    })?;
-    if graph.num_nodes() != measurements.num_nodes() {
-        return Err(SglError::InvalidMeasurements(format!(
-            "graph has {} nodes but measurements have {}",
-            graph.num_nodes(),
-            measurements.num_nodes()
-        )));
-    }
-    let op = LaplacianOp::new(graph);
-    let m = measurements.num_measurements();
-    let n = graph.num_nodes();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    let mut lx = vec![0.0; n];
-    for i in 0..m {
-        let xi = measurements.voltage_vector(i);
-        if vecops::norm2_sq(&xi) == 0.0 {
-            return Err(SglError::InvalidMeasurements(format!(
-                "voltage measurement {i} is identically zero"
-            )));
-        }
-        op.apply(&xi, &mut lx);
-        num += vecops::dot(&xi, &y.column(i));
-        den += vecops::dot(&xi, &lx);
-    }
-    if den <= 0.0 || !den.is_finite() || !num.is_finite() {
-        return Err(SglError::InvalidMeasurements(format!(
-            "degenerate Rayleigh scale ratio {num}/{den}"
-        )));
-    }
-    let factor = num / den;
-    if !(factor.is_finite() && factor > 0.0) {
-        return Err(SglError::InvalidMeasurements(format!(
-            "degenerate edge scale factor {factor}"
-        )));
-    }
-    Ok(factor)
-}
-
-/// Apply the [`rayleigh_scale_factor`] to `graph` in place, returning
-/// the factor.
-///
-/// # Errors
-/// See [`rayleigh_scale_factor`].
-pub fn rayleigh_edge_scaling(
-    graph: &mut Graph,
-    measurements: &Measurements,
-) -> Result<f64, SglError> {
-    let factor = rayleigh_scale_factor(graph, measurements)?;
-    graph.scale_weights(factor);
-    Ok(factor)
-}
-
 /// The eq. (23) scale factor computed without a solver handle — the
 /// SF-SGL Step 5. Each `x̃_i = L⁺ y_i` is evaluated as a polynomial of
 /// Laplacian matvecs (diagonally scaled conjugate-gradient recurrence on
@@ -199,9 +125,9 @@ pub fn rayleigh_edge_scaling(
 /// bit-identical at any thread count and matches [`edge_scale_factor`]
 /// to the CG tolerance (relative residual `1e-4`).
 ///
-/// Unlike the first-order [`rayleigh_scale_factor`] (exact only under a
-/// uniform misscale), this reproduces the solve-based factor on
-/// arbitrarily spectrally-distorted learned graphs.
+/// It reproduces the solve-based factor on arbitrarily
+/// spectrally-distorted learned graphs, not only under a uniform
+/// misscale.
 ///
 /// # Errors
 /// Returns [`SglError::InvalidMeasurements`] when no current
@@ -335,39 +261,13 @@ mod tests {
         let meas = Measurements::generate(&truth, 5, 3).unwrap();
         let smaller = grid2d(3, 3);
         assert!(edge_scale_factor(&smaller, &meas).is_err());
-        assert!(rayleigh_scale_factor(&smaller, &meas).is_err());
-    }
-
-    #[test]
-    fn rayleigh_factor_recovers_uniform_weight_error() {
-        // Same contract as the solve-based factor: a uniformly 4×-too-
-        // small graph yields factor 4 — here exactly, since the Rayleigh
-        // ratio is 1/c under the uniform-misscale model.
-        let truth = grid2d(6, 6);
-        let meas = Measurements::generate(&truth, 20, 1).unwrap();
-        let mut learned = truth.clone();
-        learned.scale_weights(0.25);
-        let factor = rayleigh_edge_scaling(&mut learned, &meas).unwrap();
-        assert!(
-            (factor - 4.0).abs() < 1e-9,
-            "expected factor 4, got {factor}"
-        );
-        for (et, el) in truth.edges().iter().zip(learned.edges()) {
-            assert!((et.weight - el.weight).abs() < 1e-9);
-        }
-        // Perfect graph → factor 1, agreeing with the solve-based one.
-        let solve_based = edge_scale_factor(&truth, &meas).unwrap();
-        let rayleigh = rayleigh_scale_factor(&truth, &meas).unwrap();
-        assert!((rayleigh - 1.0).abs() < 1e-9, "got {rayleigh}");
-        assert!((rayleigh - solve_based).abs() < 1e-6);
     }
 
     #[test]
     fn solver_free_factor_matches_the_solve_based_one() {
         // On a genuinely learned (spectrally distorted) graph the
-        // Rayleigh first-order factor drifts, but the matvec-CG factor
-        // must reproduce the solve-based eq. (23) value to the CG
-        // tolerance.
+        // matvec-CG factor must reproduce the solve-based eq. (23) value
+        // to the CG tolerance.
         let truth = grid2d(10, 10);
         let meas = crate::Measurements::generate(&truth, 25, 6).unwrap();
         let cfg = crate::SglConfig::default()
@@ -409,13 +309,5 @@ mod tests {
         assert!(solver_free_scale_factor(&truth, &voltage_only).is_err());
         let smaller = grid2d(3, 3);
         assert!(solver_free_scale_factor(&smaller, &meas).is_err());
-    }
-
-    #[test]
-    fn rayleigh_factor_requires_currents() {
-        let truth = grid2d(4, 4);
-        let meas = Measurements::generate(&truth, 5, 3).unwrap();
-        let voltage_only = Measurements::from_voltages(meas.voltages().clone()).unwrap();
-        assert!(rayleigh_scale_factor(&truth, &voltage_only).is_err());
     }
 }

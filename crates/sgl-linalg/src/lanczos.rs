@@ -87,22 +87,7 @@ impl LanczosWorkspace {
     }
 }
 
-/// Compute the `k` smallest eigenpairs of `op`, keeping the basis
-/// orthogonal to every vector in `constraints` (deflation).
-///
-/// # Errors
-/// Propagates [`LinalgError::NotConverged`] when the subspace cap is hit
-/// before the requested pairs converge.
-pub fn lanczos_smallest<A: LinearOperator>(
-    op: &A,
-    k: usize,
-    constraints: &[Vec<f64>],
-    opts: &LanczosOptions,
-) -> Result<SpectralPairs, LinalgError> {
-    lanczos(op, k, Which::Smallest, constraints, opts)
-}
-
-/// Compute the `k` largest eigenpairs of `op` (see [`lanczos_smallest`]).
+/// Compute the `k` largest eigenpairs of `op` (see [`lanczos`]).
 ///
 /// # Errors
 /// Propagates [`LinalgError::NotConverged`] when the subspace cap is hit
@@ -117,9 +102,14 @@ pub fn lanczos_largest<A: LinearOperator>(
 }
 
 /// Lanczos driver: grows the Krylov subspace with full reorthogonalization,
-/// monitoring Ritz residuals at the requested end of the spectrum. A
-/// fresh workspace is allocated per call; use [`lanczos_with`] to amortize
-/// it across calls.
+/// monitoring Ritz residuals at the requested end of the spectrum and
+/// keeping the basis orthogonal to every vector in `constraints`
+/// (deflation). A fresh workspace is allocated per call; use
+/// [`lanczos_with`] to amortize it across calls.
+///
+/// # Errors
+/// Propagates [`LinalgError::NotConverged`] when the subspace cap is hit
+/// before the requested pairs converge.
 pub fn lanczos<A: LinearOperator>(
     op: &A,
     k: usize,
@@ -349,7 +339,7 @@ mod tests {
         let n = 30;
         let l = path_laplacian(n);
         let ones = vec![1.0; n];
-        let pairs = lanczos_smallest(&l, 4, &[ones], &LanczosOptions::default()).unwrap();
+        let pairs = lanczos(&l, 4, Which::Smallest, &[ones], &LanczosOptions::default()).unwrap();
         for (k, &lam) in pairs.values.iter().enumerate() {
             let expect = 2.0 - 2.0 * (std::f64::consts::PI * (k + 1) as f64 / n as f64).cos();
             assert!(
@@ -381,7 +371,7 @@ mod tests {
     fn eigenvectors_satisfy_residual() {
         let l = path_laplacian(25);
         let ones = vec![1.0; 25];
-        let pairs = lanczos_smallest(&l, 3, &[ones], &LanczosOptions::default()).unwrap();
+        let pairs = lanczos(&l, 3, Which::Smallest, &[ones], &LanczosOptions::default()).unwrap();
         for i in 0..3 {
             let x = pairs.vectors.column(i);
             let ax = l.matvec(&x);
@@ -393,11 +383,10 @@ mod tests {
 
     #[test]
     fn matches_dense_decomposition() {
-        let l = path_laplacian(12).to_dense();
-        let csr = path_laplacian(12);
-        let dense = SymEig::compute(&l).unwrap();
+        let l = path_laplacian(12);
+        let dense = SymEig::compute(&l.to_dense()).unwrap();
         let ones = vec![1.0; 12];
-        let pairs = lanczos_smallest(&csr, 5, &[ones], &LanczosOptions::default()).unwrap();
+        let pairs = lanczos(&l, 5, Which::Smallest, &[ones], &LanczosOptions::default()).unwrap();
         for i in 0..5 {
             assert!((pairs.values[i] - dense.values[i + 1]).abs() < 1e-8);
         }
@@ -422,9 +411,10 @@ mod tests {
         for n in [25usize, 30] {
             let l = path_laplacian(n);
             let ones = vec![1.0; n];
-            let fresh = lanczos_smallest(
+            let fresh = lanczos(
                 &l,
                 4,
+                Which::Smallest,
                 std::slice::from_ref(&ones),
                 &LanczosOptions::default(),
             )
@@ -446,7 +436,7 @@ mod tests {
     #[test]
     fn zero_k_is_empty() {
         let l = path_laplacian(5);
-        let pairs = lanczos_smallest(&l, 0, &[], &LanczosOptions::default()).unwrap();
+        let pairs = lanczos(&l, 0, Which::Smallest, &[], &LanczosOptions::default()).unwrap();
         assert!(pairs.values.is_empty());
     }
 
@@ -454,6 +444,6 @@ mod tests {
     fn too_many_pairs_is_an_error() {
         let l = path_laplacian(5);
         let ones = vec![1.0; 5];
-        assert!(lanczos_smallest(&l, 5, &[ones], &LanczosOptions::default()).is_err());
+        assert!(lanczos(&l, 5, Which::Smallest, &[ones], &LanczosOptions::default()).is_err());
     }
 }

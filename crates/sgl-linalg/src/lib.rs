@@ -62,8 +62,7 @@ pub use filter::{
     FilteredSpectrumOptions,
 };
 pub use lanczos::{
-    lanczos, lanczos_largest, lanczos_smallest, lanczos_with, LanczosOptions, LanczosWorkspace,
-    SpectralPairs,
+    lanczos, lanczos_largest, lanczos_with, LanczosOptions, LanczosWorkspace, SpectralPairs,
 };
 pub use lobpcg::{lobpcg, LobpcgOptions, LobpcgResult};
 pub use operator::{

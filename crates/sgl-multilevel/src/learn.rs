@@ -155,8 +155,8 @@ pub struct MultilevelResult {
     /// coarsest session's plus every prolong/refine/scale solve above
     /// it.
     pub solver_stats: SolveStats,
-    /// Revision counters of the whole run (coarsest session + upward
-    /// sweep): handles built and ladder downgrades.
+    /// Revision counters of the whole run (coarsest session, upward
+    /// sweep and in-cycle pruning): handles built and ladder downgrades.
     pub revision_stats: sgl_solver::RevisionStats,
 }
 
@@ -314,6 +314,7 @@ fn learn_inner(
     // onto the aggregate's members before the first fine embed.
     let mut warm_coords = Some(coarse_result.embedding.coords.clone());
     let mut prune_stats = SolveStats::default();
+    let mut prune_revisions = sgl_solver::RevisionStats::default();
     for l in (0..coarsest).rev() {
         let _level_sp = sgl_trace::span!("level", count = l);
         let level = hierarchy.level(l);
@@ -355,6 +356,7 @@ fn learn_inner(
                 )?;
                 pruned = s.dropped_edges;
                 prune_stats.absorb(&s.solver_stats);
+                prune_revisions.absorb(&s.revision_stats);
                 fine = s.graph;
             }
         }
@@ -385,6 +387,7 @@ fn learn_inner(
     solver_stats.absorb(&prune_stats);
     let mut revision_stats = coarse_result.revision_stats;
     revision_stats.absorb(&ctx.revision_stats());
+    revision_stats.absorb(&prune_revisions);
     Ok(MultilevelResult {
         graph: current,
         level_sizes: hierarchy.level_sizes(),

@@ -152,6 +152,42 @@ fn counter_totals_are_bit_stable_across_thread_counts() {
 }
 
 #[test]
+fn multilevel_revision_stats_count_every_handle_built() {
+    let _guard = sgl_trace::test_guard();
+    sgl_trace::clear();
+    sgl_trace::enable();
+    sgl_trace::reset_metrics();
+
+    let truth = sgl_datasets::grid2d(14, 14);
+    let meas = Measurements::generate(&truth, 25, 9).unwrap();
+    let cfg = SglConfig::default().with_tol(1e-6).with_max_iterations(100);
+    let opts = MultilevelOptions {
+        hierarchy: sgl_multilevel::HierarchyOptions {
+            coarsest_size: 49,
+            ..Default::default()
+        },
+        target_density: Some(1.05),
+        ..MultilevelOptions::default()
+    };
+    let result = learn_multilevel(&cfg, &meas, &opts).unwrap();
+    let built = sgl_trace::counters_snapshot()
+        .into_iter()
+        .find(|c| c.name == "solver.handles_built")
+        .map_or(0, |c| c.value);
+    sgl_trace::disable();
+    sgl_trace::clear();
+
+    assert!(
+        result.reports.iter().any(|r| r.edges_pruned > 0),
+        "no level pruned: {:?}",
+        result.reports
+    );
+    // In-cycle pruning builds its JL sketch's handle in a private
+    // context; its builds must reach the run's revision counters too.
+    assert_eq!(result.revision_stats.handles_built as u64, built);
+}
+
+#[test]
 fn histogram_percentiles_track_exact_reference() {
     // Pure histogram math — no global state. A deterministic LCG stream
     // with a heavy tail, checked against exact order statistics.
