@@ -4,13 +4,12 @@
 //! `target/repro/BENCH_serve.json` and tracked across PRs via the
 //! committed snapshot `BENCH_serve.json` at the repo root:
 //!
-//! * **fixed-snapshot** — reader threads hammer micro-batched
-//!   effective-resistance queries against a frozen snapshot at several
-//!   reader counts. Every response must be version-tagged `v0` and
-//!   bit-identical to the canonical single-threaded answers (the
-//!   serving extension of the `tests/parallel_equivalence.rs`
-//!   determinism contract); throughput and latency percentiles are
-//!   recorded per reader count.
+//! * **fixed-snapshot** — reader threads hammer effective-resistance
+//!   queries against a frozen snapshot at several reader counts. Every
+//!   response must be version-tagged `v0` and bit-identical to the
+//!   canonical single-threaded answers (the serving extension of the
+//!   `tests/parallel_equivalence.rs` determinism contract); throughput
+//!   and latency percentiles are recorded per reader count.
 //! * **ingest-churn** — readers keep hammering while the writer ingests
 //!   measurement batches and republishes. No reader ever stalls on a
 //!   publish: latency percentiles stay bounded, and every response must
@@ -22,15 +21,17 @@
 //!   (malformed requests, half-open connections, mid-request
 //!   disconnects) while the ingest driver streams batches over HTTP —
 //!   one of them killing the writer via an injected
-//!   [`FaultPlan`] panic. Asserts shed-not-crash
+//!   [`FaultPlan`] panic. Each burst client holds its connection
+//!   [`HOLD`] before writing, so an admitted request occupies its
+//!   worker while the rest of the burst arrives. Asserts shed-not-crash
 //!   (excess load gets `429 Retry-After`, admitted requests finish),
 //!   zero torn responses (every `200` bit-matches the pinned snapshot
-//!   of its wave), bounded queue depth, and p99 within the request
-//!   deadline. Always runs quick-sized so the JSON schema is stable;
-//!   `--net` scales it into the full soak.
+//!   of its wave), bounded queue depth, and an admitted p99 under a
+//!   2 s latency bound. Always runs quick-sized so the JSON schema is
+//!   stable; `--net` scales it into the full soak.
 //!
 //! Usage: `bench_serve [--quick] [--net] [--readers N] [--queries Q]
-//! [--window-us W] [--chaos-seed S] [--schema-against PATH]`
+//! [--chaos-seed S] [--schema-against PATH]`
 //!
 //! `--schema-against` compares the emitted JSON's key set against a
 //! tracked snapshot and fails on drift (the CI smoke mode).
@@ -47,10 +48,13 @@ use sgl_net::server::loopback;
 use sgl_net::{client, json as netjson, NetOptions, NetServer};
 use sgl_serve::{ServeHandle, ServeOptions, SglServer};
 
-/// Node pairs per resistance query (one micro-batch submission).
+/// Node pairs per resistance query.
 const PAIRS_PER_QUERY: usize = 8;
 /// Distinct query sets in the round-robin pool.
 const QUERY_POOL: usize = 32;
+/// How long an overload-burst client holds its connection before
+/// writing its request.
+const HOLD: Duration = Duration::from_millis(20);
 
 /// One recorded reader response: which query set, which snapshot
 /// version answered, the values, and the end-to-end latency.
@@ -166,7 +170,7 @@ struct OverloadOutcome {
     queue_capacity: usize,
     p50_ms: f64,
     p99_ms: f64,
-    deadline_ms: u64,
+    p99_bound_ms: u64,
 }
 
 /// One seeded adversarial client: picks a misbehavior and checks the
@@ -223,7 +227,7 @@ fn overload_arm(full: bool, chaos_seed: u64) -> OverloadOutcome {
     let m = 12usize;
     let initial = 8usize;
     let queue_capacity = 8usize;
-    let deadline_ms = 2_000u64;
+    let p99_bound_ms = 2_000u64;
 
     let truth = sgl_datasets::grid2d(side, side);
     let n = truth.num_nodes();
@@ -240,9 +244,6 @@ fn overload_arm(full: bool, chaos_seed: u64) -> OverloadOutcome {
     // supervisor must restart it and re-absorb without losing columns.
     let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::WriterPanic, 1));
     let serve_opts = ServeOptions {
-        // A slow collection window makes each admitted query occupy its
-        // worker long enough for the burst to pile into the queue.
-        batch_window: Duration::from_millis(5),
         fault_plan: Some(Arc::clone(&plan)),
         ..ServeOptions::default()
     };
@@ -294,12 +295,7 @@ fn overload_arm(full: bool, chaos_seed: u64) -> OverloadOutcome {
             threads.push(std::thread::spawn(move || {
                 barrier.wait();
                 let t0 = Instant::now();
-                let reply = client::post_with_headers(
-                    addr,
-                    "/resistances",
-                    &[("x-sgl-deadline-ms", &deadline_ms.to_string())],
-                    &body,
-                );
+                let reply = client::post_after(addr, HOLD, "/resistances", &body);
                 (set, reply, t0.elapsed().as_secs_f64() * 1e3)
             }));
         }
@@ -406,8 +402,8 @@ fn overload_arm(full: bool, chaos_seed: u64) -> OverloadOutcome {
     let p50_ms = percentile(&latencies_ms, 0.50);
     let p99_ms = percentile(&latencies_ms, 0.99);
     assert!(
-        p99_ms < deadline_ms as f64,
-        "admitted p99 {p99_ms:.1} ms blew the {deadline_ms} ms deadline"
+        p99_ms < p99_bound_ms as f64,
+        "admitted p99 {p99_ms:.1} ms exceeded the {p99_bound_ms} ms bound"
     );
     let session = net.shutdown().expect("net shutdown");
     assert_eq!(
@@ -431,7 +427,7 @@ fn overload_arm(full: bool, chaos_seed: u64) -> OverloadOutcome {
         queue_capacity,
         p50_ms,
         p99_ms,
-        deadline_ms,
+        p99_bound_ms,
     }
 }
 
@@ -441,7 +437,6 @@ fn main() {
     let side: usize = args.get("side", if quick { 20 } else { 40 });
     let m: usize = args.get("m", if quick { 12 } else { 20 });
     let queries: usize = args.get("queries", if quick { 40 } else { 120 });
-    let window_us: u64 = args.get("window-us", 200);
     let max_readers: usize = args.get("readers", if quick { 2 } else { 4 });
     // Reader threads are OS threads hammering a lock-free snapshot, so
     // oversubscription is allowed — but record the host's real
@@ -475,7 +470,6 @@ fn main() {
             ("queries/reader", queries.to_string()),
             ("reader_counts", format!("{reader_counts:?}")),
             ("pairs/query", PAIRS_PER_QUERY.to_string()),
-            ("window_us", window_us.to_string()),
             ("effective_threads", effective_threads.to_string()),
             ("host_cores", par::max_threads().to_string()),
         ],
@@ -495,10 +489,10 @@ fn main() {
         SglSession::from_owned(config, column_batch(0, initial_cols)).expect("session");
     session.run_to_completion().expect("initial learn");
 
-    // `--trace PATH` records the serving timeline — query / batch_solve /
-    // respond spans, queue-wait intervals, ingest / publish events — and
-    // exports it as a Chrome trace at exit. Enabled only for the serving
-    // phase so the learn preamble does not drown the timeline.
+    // `--trace PATH` records the serving timeline — query / solve_batch
+    // spans, ingest / publish events — and exports it as a Chrome trace
+    // at exit. Enabled only for the serving phase so the learn preamble
+    // does not drown the timeline.
     let trace_path = {
         let flag = args.get("trace", String::new());
         (!flag.is_empty()).then(|| std::path::PathBuf::from(flag))
@@ -508,11 +502,7 @@ fn main() {
         sgl_trace::enable();
     }
 
-    let opts = ServeOptions {
-        batch_window: Duration::from_micros(window_us),
-        ..ServeOptions::default()
-    };
-    let server = SglServer::new(session, opts).expect("server");
+    let server = SglServer::new(session, ServeOptions::default()).expect("server");
     let reader = server.handle();
     let pool = Arc::new(query_pool(n));
 
@@ -623,18 +613,12 @@ fn main() {
         churn_wall,
     );
 
-    // Server-side latency: measured inside the micro-batcher for every
-    // query (including the collection window and queue wait), the
-    // authoritative numbers — the bench-side per-arm percentiles above
-    // only see the client clock and miss abandoned requests.
+    // Server-side latency: measured inside the server for every
+    // solve-backed query, from snapshot load to answer — the bench-side
+    // per-arm percentiles above see the client clock instead.
     println!(
-        "server-side latency: p50 {:.3} ms, p99 {:.3} ms; queue wait p50 {:.3} ms, \
-         p99 {:.3} ms over {} queries",
-        stats.query_latency_p50_ms,
-        stats.query_latency_p99_ms,
-        stats.queue_wait_p50_ms,
-        stats.queue_wait_p99_ms,
-        stats.queries_answered,
+        "server-side latency: p50 {:.3} ms, p99 {:.3} ms over {} queries",
+        stats.query_latency_p50_ms, stats.query_latency_p99_ms, stats.queries_answered,
     );
     assert!(
         stats.query_latency_p99_ms > 0.0,
@@ -649,7 +633,7 @@ fn main() {
         "\noverload ({} soak, chaos seed {chaos_seed:#x}): {} requests over {} waves \
          of {} clients -> {} ok / {} shed, {} chaos clients all handled cleanly, \
          writer killed+restarted {}x, queue depth <= {}, \
-         p50 {:.3} ms / p99 {:.3} ms (deadline {} ms), zero torn responses ✓ [{:.2}s]",
+         p50 {:.3} ms / p99 {:.3} ms (bound {} ms), zero torn responses ✓ [{:.2}s]",
         if full_net { "full" } else { "quick" },
         overload.requests,
         overload.waves,
@@ -661,7 +645,7 @@ fn main() {
         overload.max_queue_depth,
         overload.p50_ms,
         overload.p99_ms,
-        overload.deadline_ms,
+        overload.p99_bound_ms,
         overload_wall,
     );
 
@@ -678,7 +662,7 @@ fn main() {
     json.push_str(&format!("  \"effective_threads\": {effective_threads},\n"));
     json.push_str(&format!(
         "  \"args\": \"side={side} m={m} queries={queries} readers={max_readers} \
-         window_us={window_us} quick={quick}\",\n"
+         quick={quick}\",\n"
     ));
     json.push_str(&format!("  \"nodes\": {n},\n"));
     json.push_str(&format!("  \"pairs_per_query\": {PAIRS_PER_QUERY},\n"));
@@ -716,12 +700,8 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"server_latency\": {{\"query_p50_ms\": {:.6}, \"query_p99_ms\": {:.6}, \
-         \"queue_wait_p50_ms\": {:.6}, \"queue_wait_p99_ms\": {:.6}, \
          \"measured\": \"in-server\"}},\n",
-        stats.query_latency_p50_ms,
-        stats.query_latency_p99_ms,
-        stats.queue_wait_p50_ms,
-        stats.queue_wait_p99_ms,
+        stats.query_latency_p50_ms, stats.query_latency_p99_ms,
     ));
     json.push_str(&format!(
         "  \"overload\": {{\"full_soak\": {}, \"chaos_seed\": {}, \"waves\": {}, \
@@ -729,7 +709,7 @@ fn main() {
          \"chaos_requests\": {}, \"chaos_clean\": {}, \"versions_observed\": {}, \
          \"writer_restarts\": {}, \"injected_faults\": {}, \"max_queue_depth\": {}, \
          \"queue_capacity\": {}, \"overload_p50_ms\": {:.6}, \"overload_p99_ms\": {:.6}, \
-         \"deadline_ms\": {}, \"p99_within_deadline\": true, \"torn_responses\": 0, \
+         \"p99_bound_ms\": {}, \"p99_within_bound\": true, \"torn_responses\": 0, \
          \"shed_not_crash\": true}},\n",
         full_net,
         chaos_seed,
@@ -747,17 +727,11 @@ fn main() {
         overload.queue_capacity,
         overload.p50_ms,
         overload.p99_ms,
-        overload.deadline_ms,
+        overload.p99_bound_ms,
     ));
     json.push_str(&format!(
-        "  \"serve_stats\": {{\"queries_answered\": {}, \"batches_executed\": {}, \
-         \"requests_coalesced\": {}, \"rhs_columns_solved\": {}, \
-         \"largest_batch\": {}}}\n}}\n",
-        stats.queries_answered,
-        stats.batches_executed,
-        stats.requests_coalesced,
-        stats.rhs_columns_solved,
-        stats.largest_batch,
+        "  \"serve_stats\": {{\"queries_answered\": {}, \"batches_executed\": {}}}\n}}\n",
+        stats.queries_answered, stats.batches_executed,
     ));
 
     let path = repro_dir().join("BENCH_serve.json");

@@ -156,11 +156,6 @@ impl LearnResult {
         self.graph.density()
     }
 
-    /// Final maximum sensitivity (from the last trace record).
-    pub fn final_smax(&self) -> Option<f64> {
-        self.trace.last().map(|r| r.smax)
-    }
-
     /// Reconstruct the (unscaled) learned graph as it stood after trace
     /// entry `index` — edges are appended in insertion order, so a prefix
     /// of the final edge list is exactly the iteration snapshot. Used to

@@ -235,12 +235,6 @@ impl SglConfig {
         self
     }
 
-    /// Builder-style setter for the solver policy.
-    pub fn with_solver_policy(mut self, solver: SolverPolicy) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Builder-style setter for the worker-thread count
     /// (0 = all cores, 1 = serial).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {

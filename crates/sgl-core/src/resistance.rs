@@ -266,11 +266,6 @@ impl ResistanceSketch {
         ((24.0 * (num_nodes.max(2) as f64).ln()) / (epsilon * epsilon)).ceil() as usize
     }
 
-    /// Number of projections `q`.
-    pub fn num_projections(&self) -> usize {
-        self.rows.nrows()
-    }
-
     /// Estimated effective resistance `‖Z e_{s,t}‖²`.
     ///
     /// # Errors

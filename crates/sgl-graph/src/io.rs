@@ -13,7 +13,6 @@
 use crate::Graph;
 use std::fmt;
 use std::io::{BufRead, Write};
-use std::path::Path;
 
 /// How to interpret matrix entries when reading a graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,15 +205,6 @@ pub fn read_matrix_market<R: BufRead>(reader: R, kind: MatrixKind) -> Result<Gra
         });
     }
     Ok(g)
-}
-
-/// Read a graph from a Matrix Market file on disk.
-///
-/// # Errors
-/// See [`read_matrix_market`].
-pub fn read_matrix_market_file(path: &Path, kind: MatrixKind) -> Result<Graph, IoError> {
-    let f = std::fs::File::open(path)?;
-    read_matrix_market(std::io::BufReader::new(f), kind)
 }
 
 /// Write a graph as a symmetric Matrix Market adjacency file (lower

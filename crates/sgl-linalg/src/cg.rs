@@ -133,13 +133,6 @@ impl CgWorkspace {
         CgWorkspace::default()
     }
 
-    /// A workspace pre-sized for `n`-dimensional solves.
-    pub fn with_dim(n: usize) -> Self {
-        let mut ws = CgWorkspace::default();
-        ws.prepare(n);
-        ws
-    }
-
     fn prepare(&mut self, n: usize) {
         for buf in [
             &mut self.rhs,

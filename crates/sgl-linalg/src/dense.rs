@@ -258,11 +258,6 @@ impl DenseMatrix {
         DenseMatrix::from_fn(self.ncols, self.nrows, |i, j| self.get(j, i))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vecops::norm2(&self.data)
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         vecops::norm_inf(&self.data)

@@ -136,11 +136,6 @@ impl Rng {
         (0..n).map(|_| self.standard_normal()).collect()
     }
 
-    /// Vector of i.i.d. U[0,1) samples.
-    pub fn uniform_vec(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.uniform()).collect()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

@@ -12,6 +12,9 @@ use std::time::Duration;
 
 use crate::json::{self, Json};
 
+/// How long a client waits for a reply.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A parsed response.
 #[derive(Debug, Clone)]
 pub struct HttpReply {
@@ -51,7 +54,7 @@ impl HttpReply {
 /// # Errors
 /// Connection, write, or parse failures, rendered.
 pub fn get(addr: SocketAddr, path: &str) -> Result<HttpReply, String> {
-    request(addr, "GET", path, &[], b"")
+    raw(addr, &request_bytes("GET", path, b""))
 }
 
 /// `POST path` with a JSON body.
@@ -59,37 +62,48 @@ pub fn get(addr: SocketAddr, path: &str) -> Result<HttpReply, String> {
 /// # Errors
 /// Connection, write, or parse failures, rendered.
 pub fn post(addr: SocketAddr, path: &str, body: &str) -> Result<HttpReply, String> {
-    request(addr, "POST", path, &[], body.as_bytes())
+    raw(addr, &request_bytes("POST", path, body.as_bytes()))
 }
 
-/// `POST path` with extra headers (e.g. `x-sgl-deadline-ms`).
+/// `POST path` after holding the connection idle for `hold`: the
+/// server worker that picks it up blocks in its bounded read meanwhile,
+/// so load tests can occupy workers without a server-side knob. A
+/// connection the server sheds on accept is answered during the hold
+/// and never writes.
 ///
 /// # Errors
 /// Connection, write, or parse failures, rendered.
-pub fn post_with_headers(
+pub fn post_after(
     addr: SocketAddr,
+    hold: Duration,
     path: &str,
-    headers: &[(&str, &str)],
     body: &str,
 ) -> Result<HttpReply, String> {
-    request(addr, "POST", path, headers, body.as_bytes())
+    let mut stream = connect(addr)?;
+    stream
+        .set_read_timeout(Some(hold))
+        .map_err(|e| format!("set_read_timeout: {e}"))?;
+    let answered = stream.peek(&mut [0u8]).is_ok();
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .map_err(|e| format!("set_read_timeout: {e}"))?;
+    if !answered {
+        stream
+            .write_all(&request_bytes("POST", path, body.as_bytes()))
+            .map_err(|e| format!("write: {e}"))?;
+        let _ = stream.shutdown(Shutdown::Write);
+    }
+    read_reply(&mut stream)
 }
 
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> Result<HttpReply, String> {
-    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: sgl\r\nconnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-    let mut bytes = head.into_bytes();
+fn request_bytes(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+    let mut bytes = format!(
+        "{method} {path} HTTP/1.1\r\nhost: sgl\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
     bytes.extend_from_slice(body);
-    raw(addr, &bytes)
+    bytes
 }
 
 /// Sends `bytes` verbatim and parses whatever comes back. The chaos
@@ -113,7 +127,7 @@ pub fn connect(addr: SocketAddr) -> Result<TcpStream, String> {
     let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
         .map_err(|e| format!("connect {addr}: {e}"))?;
     stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
+        .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
     stream
         .set_write_timeout(Some(Duration::from_secs(5)))

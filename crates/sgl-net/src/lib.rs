@@ -18,11 +18,9 @@
 //!    ([`http`]); slowloris trickles, oversized uploads, and malformed
 //!    requests all become clean 4xx responses, never hung workers and
 //!    never panics.
-//! 3. **Graceful degradation** — client deadlines
-//!    (`x-sgl-deadline-ms`) propagate into the micro-batcher and come
-//!    back as `504`; a circuit breaker ([`limit::Breaker`]) over the
-//!    ingest path turns a faulting writer into `503`s *while queries
-//!    keep serving the last good snapshot*; and
+//! 3. **Graceful degradation** — a circuit breaker ([`limit::Breaker`])
+//!    over the ingest path turns a faulting writer into `503`s *while
+//!    queries keep serving the last good snapshot*, and
 //!    [`server::NetServer::shutdown`] drains deterministically
 //!    (stop accepting → answer everything admitted → hand the
 //!    learning session back).

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //!  accept thread ──► bounded job queue ──► worker pool ──► SglServer
-//!   │ net.accepted      │ watermark          │ per-request     │ micro-batched
-//!   │ rate limiter      │ reject-newest      │ read deadline   │ queries +
+//!   │ net.accepted      │ watermark          │ per-request     │ queries on the
+//!   │ rate limiter      │ reject-newest      │ read deadline   │ worker thread +
 //!   └ 429 shed          └ 429 + Retry-After  └ 4xx on junk     └ ingest writer
 //! ```
 //!
@@ -13,12 +13,13 @@
 //! worker: the accept thread charges the peer's token bucket and
 //! checks the queue watermark, shedding with `429` while workers stay
 //! free to drain admitted work. Workers then enforce the per-
-//! connection read budget and size caps while parsing, propagate the
-//! client's `x-sgl-deadline-ms` into the micro-batcher, and gate
-//! ingest through a circuit breaker fed by the serving layer's fault
-//! counters (writer restarts + quarantined batches). Queries never
-//! pass through the breaker — a failing ingest path degrades writes
-//! to `503` while reads keep serving the last good snapshot.
+//! connection read budget and size caps while parsing, answer queries
+//! on their own thread (one `request` span each, enclosing the
+//! serving layer's `query` span), and gate ingest through a circuit
+//! breaker fed by the serving layer's fault counters (writer restarts
+//! and quarantined batches). Queries never pass through the breaker —
+//! a failing ingest path degrades writes to `503` while reads keep
+//! serving the last good snapshot.
 
 use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -107,7 +108,7 @@ pub struct NetStats {
     /// Requests answered `2xx`.
     pub requests_ok: u64,
     /// Requests answered `4xx`/`5xx` after admission (includes
-    /// `malformed`, deadline `504`s, breaker `503`s, ...).
+    /// `malformed`, breaker `503`s, ...).
     pub requests_failed: u64,
     /// Ingest requests refused by the open circuit breaker (`503`).
     pub breaker_rejected: u64,
@@ -414,6 +415,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             }
         };
         let Some(job) = job else { break };
+        let _request_sp = sgl_trace::span!("request");
         handle_connection(inner, job);
     }
 }
@@ -485,27 +487,12 @@ fn serve_error_response(e: &ServeError, retry_after_secs: u64) -> Response {
     let msg = e.to_string();
     match e {
         ServeError::BadQuery(_) => error_response(400, "Bad Request", &msg),
-        ServeError::DeadlineExceeded { .. } => error_response(504, "Gateway Timeout", &msg),
         ServeError::IngestBackpressure { .. } => {
             let (s, r, _, b) = error_response(429, "Too Many Requests", &msg);
             (s, r, vec![("retry-after", retry_after_secs.to_string())], b)
         }
         ServeError::Closed => error_response(503, "Service Unavailable", &msg),
         ServeError::Sgl(_) => error_response(500, "Internal Server Error", &msg),
-    }
-}
-
-/// The client's per-request deadline, if it sent one.
-fn request_deadline(request: &Request) -> Result<Option<Duration>, Response> {
-    match request.header("x-sgl-deadline-ms") {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse::<u64>()
-            .map(|ms| Some(Duration::from_millis(ms)))
-            .map_err(|_| {
-                error_response(400, "Bad Request", "unparseable x-sgl-deadline-ms header")
-            }),
     }
 }
 
@@ -633,10 +620,6 @@ fn matrix_field(body: &Json, key: &str) -> Result<Vec<Vec<f64>>, Response> {
 }
 
 fn post_resistances(inner: &Arc<Inner>, request: &Request) -> Response {
-    let deadline = match request_deadline(request) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
     let body = match parse_body(request) {
         Ok(b) => b,
         Err(r) => return r,
@@ -660,11 +643,7 @@ fn post_resistances(inner: &Arc<Inner>, request: &Request) -> Response {
             }
         }
     }
-    let result = match deadline {
-        Some(d) => inner.handle.resistances_with_deadline(&pairs, d),
-        None => inner.handle.resistances(&pairs),
-    };
-    match result {
+    match inner.handle.resistances(&pairs) {
         Ok(r) => ok(format!(
             "{{\"version\":{},\"resistances\":{}}}",
             r.version,
@@ -675,10 +654,6 @@ fn post_resistances(inner: &Arc<Inner>, request: &Request) -> Response {
 }
 
 fn post_interpolate(inner: &Arc<Inner>, request: &Request) -> Response {
-    let deadline = match request_deadline(request) {
-        Ok(d) => d,
-        Err(r) => return r,
-    };
     let body = match parse_body(request) {
         Ok(b) => b,
         Err(r) => return r,
@@ -687,11 +662,7 @@ fn post_interpolate(inner: &Arc<Inner>, request: &Request) -> Response {
         Ok(m) => m,
         Err(r) => return r,
     };
-    let result = match deadline {
-        Some(d) => inner.handle.interpolate_batch_with_deadline(&injections, d),
-        None => inner.handle.interpolate_batch(&injections),
-    };
-    match result {
+    match inner.handle.interpolate_batch(&injections) {
         Ok(r) => ok(format!(
             "{{\"version\":{},\"solutions\":{}}}",
             r.version,
@@ -837,7 +808,7 @@ fn stats_json(inner: &Arc<Inner>) -> String {
             "\"serve\":{{\"version\":{},\"snapshots_published\":{},",
             "\"measurements_ingested\":{},\"queries_answered\":{},",
             "\"batches_quarantined\":{},\"batches_rejected\":{},",
-            "\"pending_batches\":{},\"writer_restarts\":{},\"deadline_misses\":{}}}}}"
+            "\"pending_batches\":{},\"writer_restarts\":{}}}}}"
         ),
         c.accepted.load(Ordering::Relaxed),
         c.shed.load(Ordering::Relaxed),
@@ -857,7 +828,6 @@ fn stats_json(inner: &Arc<Inner>) -> String {
         serve.batches_rejected,
         serve.pending_batches,
         serve.writer_restarts,
-        serve.deadline_misses,
     )
 }
 

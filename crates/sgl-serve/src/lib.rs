@@ -13,11 +13,13 @@
 //! - **Lock-free reads** ([`epoch::SnapshotCell`]): publishing a new
 //!   snapshot is an epoch-tagged pointer swap built on `std` atomics;
 //!   readers never take a lock and never block on the writer.
-//! - **Micro-batching** ([`batch`]): concurrent resistance and
-//!   interpolation queries coalesce into single
-//!   [`solve_batch`](sgl_solver::SolverHandle::solve_batch) fan-outs —
-//!   safe because every right-hand side is solved independently, so
-//!   batch composition cannot change an answer.
+//! - **Queries on the caller's thread** ([`ServeHandle`]): a resistance
+//!   or interpolation query loads the current snapshot once and answers
+//!   with [`solve_batch`](sgl_solver::SolverHandle::solve_batch) calls of
+//!   at most 64 right-hand sides (which bounds one query's solve memory)
+//!   on the thread that asked. SGL learns near-trees, so that is one
+//!   exact near-tree PCG iteration per right-hand side; nothing waits
+//!   on another request.
 //! - **Streaming ingest** ([`SglServer::ingest`]): a writer thread owns
 //!   the session, absorbs measurement batches via
 //!   [`SglSession::extend_measurements`](sgl_core::SglSession::extend_measurements),
@@ -40,20 +42,18 @@
 //!   the writer) are dropped and counted
 //!   ([`ServeStats::batches_quarantined`]); the session and the served
 //!   snapshot are untouched.
-//! - **Deadlines and bounded retries** — micro-batched queries retry
-//!   transient solver failures with backoff
-//!   ([`ServeOptions::max_retries`]) and waiting followers give up
-//!   after [`ServeOptions::deadline`] — or a tighter per-request
-//!   deadline ([`ServeHandle::resistances_with_deadline`]) — with
-//!   [`ServeError::DeadlineExceeded`] instead of blocking forever.
+//! - **Per-request validation** — a malformed query (out-of-range or
+//!   degenerate pair, wrong-width vector) fails alone with
+//!   [`ServeError::BadQuery`]; a failed solve surfaces at once as
+//!   [`ServeError::Sgl`].
 //! - **Ingest backpressure** — the writer's queue is bounded by
 //!   [`ServeOptions::max_pending_batches`]; past the watermark, ingest
 //!   sheds with [`ServeError::IngestBackpressure`]
 //!   ([`ServeStats::batches_rejected`]) instead of queueing without
 //!   limit.
 //! - **Deterministic fault injection** — [`ServeOptions::fault_plan`]
-//!   threads an [`sgl_core::FaultPlan`] into the query path so all of
-//!   the above can be exercised on schedule in tests and benches.
+//!   threads an [`sgl_core::FaultPlan`] into the writer so a writer
+//!   panic can be forced on schedule in tests and benches.
 //!
 //! # Quickstart
 //!
@@ -87,12 +87,10 @@
 //! ```
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod batch;
 pub mod epoch;
 pub mod server;
 pub mod snapshot;
 
-pub use batch::BatchStats;
 pub use epoch::SnapshotCell;
 pub use server::{QueryResponse, ServeHandle, ServeOptions, ServeStats, SglServer};
 pub use snapshot::GraphSnapshot;
@@ -101,10 +99,9 @@ use sgl_core::SglError;
 
 /// Errors surfaced by the serving layer.
 ///
-/// `Clone` so the micro-batcher can replicate one shared-solve failure
-/// to every request that joined the batch; the learning-layer cause is
-/// carried as its rendered message for the same reason
-/// ([`SglError`] itself is not `Clone`).
+/// The learning-layer cause is carried as its rendered message, so the
+/// error stays `Clone` and comparable ([`SglError`] itself is not
+/// `Clone`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// A learning- or solver-layer failure, rendered.
@@ -114,18 +111,6 @@ pub enum ServeError {
     /// The writer thread has exited; ingest and flush are no longer
     /// possible (readers keep the last snapshot).
     Closed,
-    /// A micro-batched query waited past [`ServeOptions::deadline`]
-    /// (or the tighter per-request deadline passed to
-    /// [`ServeHandle::resistances_with_deadline`]) without an answer
-    /// (its leader's solve stalled or is retrying); the request is
-    /// abandoned — the caller may resubmit.
-    ///
-    /// [`ServeOptions::deadline`]: crate::ServeOptions::deadline
-    /// [`ServeHandle::resistances_with_deadline`]: crate::ServeHandle::resistances_with_deadline
-    DeadlineExceeded {
-        /// The effective deadline, in milliseconds.
-        deadline_ms: u64,
-    },
     /// The writer's ingest queue is at
     /// [`ServeOptions::max_pending_batches`]; the batch was shed instead
     /// of queued ([`ServeStats::batches_rejected`]). Back off and
@@ -148,9 +133,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Sgl(msg) => write!(f, "learning-layer failure: {msg}"),
             ServeError::BadQuery(msg) => write!(f, "bad query: {msg}"),
             ServeError::Closed => write!(f, "serving writer has shut down"),
-            ServeError::DeadlineExceeded { deadline_ms } => {
-                write!(f, "query deadline of {deadline_ms} ms exceeded")
-            }
             ServeError::IngestBackpressure { pending, limit } => {
                 write!(
                     f,

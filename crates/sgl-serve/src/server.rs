@@ -22,12 +22,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use sgl_core::{FaultKind, FaultPlan, Measurements, SglSession};
 use sgl_solver::RevisionStats;
 
-use crate::batch::{MicroBatcher, Payload, Reply};
 use crate::epoch::SnapshotCell;
 use crate::snapshot::GraphSnapshot;
 use crate::ServeError;
@@ -39,28 +38,14 @@ pub struct ServeOptions {
     pub clusters: usize,
     /// Refinement sweeps ([`SglSession::step`]) per ingested batch.
     pub refresh_iters: usize,
-    /// Micro-batch collection window. Zero flushes immediately (each
-    /// leader still coalesces whatever queued while it held the lock).
-    pub batch_window: Duration,
-    /// Max right-hand-side columns per `solve_batch` call.
-    pub max_batch: usize,
-    /// How long a micro-batched query waits on its leader before giving
-    /// up with [`ServeError::DeadlineExceeded`].
-    pub deadline: Duration,
-    /// Shared-solve retries after a transient solver failure (0
-    /// disables retrying).
-    pub max_retries: usize,
-    /// Sleep between those retries.
-    pub retry_backoff: Duration,
     /// Watermark on the writer's ingest queue, counted in batches
     /// (including the one currently being absorbed). Past it,
     /// [`SglServer::ingest`] sheds with
     /// [`ServeError::IngestBackpressure`] instead of queueing without
     /// bound. `0` disables the check (the pre-watermark behavior).
     pub max_pending_batches: usize,
-    /// Deterministic fault-injection schedule threaded into the query
-    /// path (poisoned queries) and the writer (injected panics); also
-    /// install it on the session via
+    /// Deterministic fault-injection schedule threaded into the writer
+    /// (injected panics); also install it on the session via
     /// [`SglSession::set_fault_plan`](sgl_core::SglSession::set_fault_plan)
     /// to reach the solver faults. `None` (the default) is inert.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -71,11 +56,6 @@ impl Default for ServeOptions {
         ServeOptions {
             clusters: 4,
             refresh_iters: 4,
-            batch_window: Duration::from_micros(200),
-            max_batch: 64,
-            deadline: Duration::from_secs(5),
-            max_retries: 2,
-            retry_backoff: Duration::from_micros(500),
             max_pending_batches: 64,
             fault_plan: None,
         }
@@ -93,17 +73,16 @@ pub struct ServeStats {
     pub measurements_ingested: u64,
     /// Queries answered across all handles.
     pub queries_answered: u64,
-    /// Micro-batch flushes executed.
+    /// Resistance and interpolation queries answered, each with one
+    /// snapshot load and one batched solve per 64 right-hand sides (a
+    /// solver-free snapshot answers resistances from its sketch
+    /// instead).
     pub batches_executed: u64,
-    /// Requests that shared a flush with at least one other request.
-    pub requests_coalesced: u64,
-    /// Right-hand-side columns pushed through batched solves.
-    pub rhs_columns_solved: u64,
-    /// Most requests drained in a single flush.
-    pub largest_batch: u64,
-    /// Shared solves re-attempted after a transient solver failure.
+    /// Reads 0: a failed solve is not retried. Kept only because the
+    /// repository benchmark reads it; ROADMAP item 4 drops it.
     pub query_retries: u64,
-    /// Queries abandoned after waiting past the deadline.
+    /// Reads 0: queries carry no deadline. Kept only because the
+    /// repository benchmark reads it; ROADMAP item 4 drops it.
     pub deadline_misses: u64,
     /// Ingest batches rejected and dropped (validation failure at
     /// [`SglServer::ingest`] or absorb failure in the writer); the
@@ -120,17 +99,14 @@ pub struct ServeStats {
     /// Times the supervised writer thread panicked and was rebuilt from
     /// the accumulated measurements.
     pub writer_restarts: u64,
-    /// Median end-to-end latency of micro-batched queries, measured
-    /// inside the server from submit to reply, in milliseconds. This is
-    /// the authoritative serving latency — client-side timing adds
-    /// handle-call overhead and misses deadline-abandoned requests.
+    /// Median latency of the queries [`batches_executed`](Self::batches_executed)
+    /// counts, measured inside the server from snapshot load to answer,
+    /// in milliseconds. A rejected or failed query is in neither.
     pub query_latency_p50_ms: f64,
-    /// 99th-percentile end-to-end query latency, milliseconds.
+    /// 99th-percentile solve-backed query latency, milliseconds.
     pub query_latency_p99_ms: f64,
-    /// Median time a request waited in the micro-batch queue before its
-    /// leader drained it, milliseconds.
-    pub queue_wait_p50_ms: f64,
-    /// 99th-percentile queue wait, milliseconds.
+    /// Reads 0: no query waits in a queue. Kept only because the
+    /// repository benchmark reads it; ROADMAP item 4 drops it.
     pub queue_wait_p99_ms: f64,
     /// The session solver context's revision counters at the last
     /// publish — handles built and ladder downgrades.
@@ -157,8 +133,13 @@ enum WriterMsg {
 
 struct Shared {
     cell: SnapshotCell<GraphSnapshot>,
-    batcher: MicroBatcher,
     queries: AtomicU64,
+    /// Resistance and interpolation queries answered.
+    solves: AtomicU64,
+    /// Latency of every answered resistance and interpolation query,
+    /// nanoseconds. Always recording (a few atomic adds per query),
+    /// independent of whether the trace recorder is on.
+    latency: sgl_trace::Histogram,
     snapshots_published: AtomicU64,
     measurements_ingested: AtomicU64,
     batches_quarantined: AtomicU64,
@@ -212,15 +193,9 @@ impl SglServer {
         let initial = GraphSnapshot::from_session(&mut session, opts.clusters, 0)?;
         let shared = Arc::new(Shared {
             cell: SnapshotCell::new(Arc::new(initial)),
-            batcher: MicroBatcher::new(
-                opts.batch_window,
-                opts.max_batch,
-                opts.deadline,
-                opts.max_retries,
-                opts.retry_backoff,
-                opts.fault_plan.clone(),
-            ),
             queries: AtomicU64::new(0),
+            solves: AtomicU64::new(0),
+            latency: sgl_trace::Histogram::new(),
             snapshots_published: AtomicU64::new(0),
             measurements_ingested: AtomicU64::new(0),
             batches_quarantined: AtomicU64::new(0),
@@ -497,56 +472,18 @@ impl ServeHandle {
         self.shared.cell.version()
     }
 
-    /// Effective resistances for `pairs`, micro-batched with concurrent
-    /// callers.
+    /// Effective resistances for `pairs`.
     ///
     /// # Errors
-    /// [`ServeError::BadQuery`] on an invalid pair; solver failures as
-    /// [`ServeError::Sgl`].
+    /// See [`GraphSnapshot::resistances`].
     pub fn resistances(
         &self,
         pairs: &[(usize, usize)],
     ) -> Result<QueryResponse<Vec<f64>>, ServeError> {
-        self.resistances_inner(pairs, None)
+        self.solve_query(|snap| snap.resistances(pairs))
     }
 
-    /// [`resistances`](Self::resistances) with a per-request deadline —
-    /// the propagation point for callers that carry their own budget
-    /// (e.g. a network front-end forwarding a client deadline). The
-    /// effective deadline is `deadline.min(ServeOptions::deadline)`; on
-    /// expiry the request is abandoned with
-    /// [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// As [`resistances`](Self::resistances), plus
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn resistances_with_deadline(
-        &self,
-        pairs: &[(usize, usize)],
-        deadline: Duration,
-    ) -> Result<QueryResponse<Vec<f64>>, ServeError> {
-        self.resistances_inner(pairs, Some(deadline))
-    }
-
-    fn resistances_inner(
-        &self,
-        pairs: &[(usize, usize)],
-        deadline: Option<Duration>,
-    ) -> Result<QueryResponse<Vec<f64>>, ServeError> {
-        self.count_query();
-        let (version, reply) = self.shared.batcher.submit(
-            &self.shared.cell,
-            Payload::Resistances(pairs.to_vec()),
-            deadline,
-        )?;
-        match reply {
-            Reply::Resistances(value) => Ok(QueryResponse { version, value }),
-            Reply::Interpolated(_) => unreachable!("resistance query got interpolation reply"),
-        }
-    }
-
-    /// Interpolate node voltages from one current-injection vector,
-    /// micro-batched with concurrent callers.
+    /// Interpolate node voltages from one current-injection vector.
     ///
     /// # Errors
     /// See [`GraphSnapshot::interpolate`].
@@ -566,39 +503,26 @@ impl ServeHandle {
         &self,
         injections: &[Vec<f64>],
     ) -> Result<QueryResponse<Vec<Vec<f64>>>, ServeError> {
-        self.interpolate_inner(injections, None)
+        self.solve_query(|snap| snap.interpolate_batch(injections))
     }
 
-    /// [`interpolate_batch`](Self::interpolate_batch) with a per-request
-    /// deadline (see
-    /// [`resistances_with_deadline`](Self::resistances_with_deadline)).
-    ///
-    /// # Errors
-    /// As [`interpolate_batch`](Self::interpolate_batch), plus
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn interpolate_batch_with_deadline(
+    /// Answer a solve-backed query on the calling thread against one
+    /// snapshot load, inside a `query` span and timed into
+    /// [`ServeStats::query_latency_p50_ms`].
+    fn solve_query<T>(
         &self,
-        injections: &[Vec<f64>],
-        deadline: Duration,
-    ) -> Result<QueryResponse<Vec<Vec<f64>>>, ServeError> {
-        self.interpolate_inner(injections, Some(deadline))
-    }
-
-    fn interpolate_inner(
-        &self,
-        injections: &[Vec<f64>],
-        deadline: Option<Duration>,
-    ) -> Result<QueryResponse<Vec<Vec<f64>>>, ServeError> {
+        solve: impl FnOnce(&GraphSnapshot) -> Result<T, ServeError>,
+    ) -> Result<QueryResponse<T>, ServeError> {
+        let _query_sp = sgl_trace::span!("query");
+        let started = Instant::now();
         self.count_query();
-        let (version, reply) = self.shared.batcher.submit(
-            &self.shared.cell,
-            Payload::Interpolate(injections.to_vec()),
-            deadline,
-        )?;
-        match reply {
-            Reply::Interpolated(value) => Ok(QueryResponse { version, value }),
-            Reply::Resistances(_) => unreachable!("interpolation query got resistance reply"),
-        }
+        let (version, snap) = self.shared.cell.load();
+        let value = solve(&snap)?;
+        self.shared
+            .latency
+            .record(started.elapsed().as_nanos() as u64);
+        self.shared.solves.fetch_add(1, Ordering::Relaxed);
+        Ok(QueryResponse { version, value })
     }
 
     /// Spectral coordinates of `node`.
@@ -651,23 +575,19 @@ impl ServeHandle {
 
     /// Current counters (see [`ServeStats`]).
     pub fn stats(&self) -> ServeStats {
-        let batch = self.shared.batcher.stats();
+        let ms = |ns: u64| ns as f64 / 1e6;
         let (version, snap) = self.shared.cell.load();
         ServeStats {
             version,
             snapshots_published: self.shared.snapshots_published.load(Ordering::Relaxed),
             measurements_ingested: self.shared.measurements_ingested.load(Ordering::Relaxed),
             queries_answered: self.shared.queries.load(Ordering::Relaxed),
-            batches_executed: batch.batches,
-            requests_coalesced: batch.coalesced_requests,
-            rhs_columns_solved: batch.rhs_columns,
-            largest_batch: batch.largest_batch,
-            query_retries: batch.retries,
-            deadline_misses: batch.deadline_misses,
-            query_latency_p50_ms: batch.query_latency_p50_ms,
-            query_latency_p99_ms: batch.query_latency_p99_ms,
-            queue_wait_p50_ms: batch.queue_wait_p50_ms,
-            queue_wait_p99_ms: batch.queue_wait_p99_ms,
+            batches_executed: self.shared.solves.load(Ordering::Relaxed),
+            query_retries: 0,
+            deadline_misses: 0,
+            query_latency_p50_ms: ms(self.shared.latency.percentile(50.0)),
+            query_latency_p99_ms: ms(self.shared.latency.percentile(99.0)),
+            queue_wait_p99_ms: 0.0,
             batches_quarantined: self.shared.batches_quarantined.load(Ordering::Relaxed),
             batches_rejected: self.shared.batches_rejected.load(Ordering::Relaxed),
             pending_batches: self.shared.pending_batches.load(Ordering::Relaxed),
@@ -899,43 +819,6 @@ mod tests {
         assert!(reader.resistances(&[(0, 24)]).is_ok());
         let session = server.shutdown().unwrap();
         assert_eq!(session.measurements().num_measurements(), 10 + accepted);
-    }
-
-    /// A per-request deadline tighter than the server default maps onto
-    /// `DeadlineExceeded` for a follower stuck behind a slow leader.
-    #[test]
-    fn per_request_deadline_bounds_a_followers_wait() {
-        let truth = sgl_datasets::grid2d(5, 5);
-        let meas = Measurements::generate(&truth, 10, 3).unwrap();
-        let cfg = SglConfig::builder()
-            .k(4)
-            .r(4)
-            .tol(0.0)
-            .max_iterations(3)
-            .build()
-            .unwrap();
-        let mut session = SglSession::from_owned(cfg, meas).unwrap();
-        session.run_to_completion().unwrap();
-        let opts = ServeOptions {
-            // A long collection window: the leader sleeps it out while
-            // the follower's tight budget expires.
-            batch_window: Duration::from_millis(300),
-            ..ServeOptions::default()
-        };
-        let server = SglServer::new(session, opts).unwrap();
-        let leader = server.handle();
-        let follower = server.handle();
-
-        let lead = std::thread::spawn(move || leader.resistances(&[(0, 24)]));
-        // Join the open window as a follower with a 5 ms budget.
-        std::thread::sleep(Duration::from_millis(50));
-        let err = follower
-            .resistances_with_deadline(&[(1, 23)], Duration::from_millis(5))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::DeadlineExceeded { deadline_ms } if deadline_ms <= 5));
-        // The leader is unaffected by the follower's expiry.
-        assert!(lead.join().unwrap().is_ok());
-        assert_eq!(server.stats().deadline_misses, 1);
     }
 
     #[test]

@@ -31,6 +31,12 @@ use crate::ServeError;
 /// Lloyd iteration cap for the snapshot's embedding clustering.
 const KMEANS_MAX_ITER: usize = 100;
 
+/// Right-hand sides per `solve_batch` call. Bounds one query's solve
+/// memory to `SOLVE_CHUNK × n` values however many pairs or vectors it
+/// carries; every column is solved independently, so chunk boundaries
+/// cannot change an answer.
+const SOLVE_CHUNK: usize = 64;
+
 /// An immutable serving view of a learned graph (see the [module
 /// docs](self)).
 #[derive(Clone)]
@@ -193,12 +199,21 @@ impl GraphSnapshot {
     }
 
     /// Effective resistances for a batch of node pairs, all answered
-    /// against this snapshot's graph.
+    /// against this snapshot's graph, 64 pairs per batched solve.
     ///
     /// # Errors
-    /// [`ServeError::BadQuery`] on an out-of-range or degenerate pair.
+    /// [`ServeError::BadQuery`] on an out-of-range or degenerate pair,
+    /// [`ServeError::Sgl`] when the solve fails.
     pub fn resistances(&self, pairs: &[(usize, usize)]) -> Result<Vec<f64>, ServeError> {
-        self.estimator.resistances(pairs).map_err(ServeError::from)
+        let mut out = Vec::with_capacity(pairs.len());
+        for chunk in pairs.chunks(SOLVE_CHUNK) {
+            let values = self.estimator.resistances(chunk).map_err(|e| match e {
+                SglError::OutOfRange(msg) => ServeError::BadQuery(msg),
+                e => ServeError::from(e),
+            })?;
+            out.extend(values);
+        }
+        Ok(out)
     }
 
     /// Interpolate node voltages from a current-injection vector:
@@ -218,30 +233,37 @@ impl GraphSnapshot {
     }
 
     /// Batch form of [`interpolate`](Self::interpolate): one
-    /// `solve_batch` fan-out for all right-hand sides.
+    /// `solve_batch` fan-out per 64 right-hand sides.
     ///
     /// # Errors
     /// See [`interpolate`](Self::interpolate); a single bad vector fails
-    /// the whole batch (the micro-batcher validates per-request before
-    /// coalescing).
+    /// the whole batch.
     pub fn interpolate_batch(&self, injections: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ServeError> {
         let n = self.num_nodes();
-        let mut rhs = Vec::with_capacity(injections.len());
-        for b in injections {
-            if b.len() != n {
-                return Err(ServeError::BadQuery(format!(
-                    "injection vector has {} entries; graph has {} nodes",
-                    b.len(),
-                    n
-                )));
-            }
-            let mut b = b.clone();
-            vecops::project_out_mean(&mut b);
-            rhs.push(b);
+        if let Some(b) = injections.iter().find(|b| b.len() != n) {
+            return Err(ServeError::BadQuery(format!(
+                "injection vector has {} entries; graph has {} nodes",
+                b.len(),
+                n
+            )));
         }
-        self.handle
-            .solve_batch(&rhs)
-            .map_err(|e| ServeError::Sgl(SglError::from(e).to_string()))
+        let mut out = Vec::with_capacity(injections.len());
+        for chunk in injections.chunks(SOLVE_CHUNK) {
+            let rhs: Vec<Vec<f64>> = chunk
+                .iter()
+                .map(|b| {
+                    let mut b = b.clone();
+                    vecops::project_out_mean(&mut b);
+                    b
+                })
+                .collect();
+            let values = self
+                .handle
+                .solve_batch(&rhs)
+                .map_err(|e| ServeError::Sgl(SglError::from(e).to_string()))?;
+            out.extend(values);
+        }
+        Ok(out)
     }
 
     fn check_node(&self, node: usize) -> Result<(), ServeError> {
@@ -354,6 +376,36 @@ mod tests {
             snap.interpolate(&[1.0, -1.0]),
             Err(ServeError::BadQuery(_))
         ));
-        assert!(snap.resistances(&[(0, 0)]).is_err());
+        // A bad pair is the caller's fault, not a solver failure.
+        for pair in [(0, 0), (0, 25)] {
+            assert!(matches!(
+                snap.resistances(&[(0, 1), pair]),
+                Err(ServeError::BadQuery(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn large_queries_solve_in_bounded_chunks() {
+        let snap = snapshot();
+        let n = snap.num_nodes();
+        // 200 pairs: chunks of 64, 64, 64 and 8 columns.
+        let pairs: Vec<_> = (0..200).map(|i| (i % n, (i + 1) % n)).collect();
+        let before = snap.handle().stats().batches;
+        let chunked = snap.resistances(&pairs).unwrap();
+        assert_eq!(snap.handle().stats().batches - before, 4);
+        // Chunk boundaries change no answer bit.
+        assert_eq!(chunked, snap.estimator.resistances(&pairs).unwrap());
+
+        // 65 injection vectors: one full chunk and one column.
+        let mut b = vec![0.0; n];
+        b[0] = 1.0;
+        b[n - 1] = -1.0;
+        let injections = vec![b; SOLVE_CHUNK + 1];
+        let before = snap.handle().stats().batches;
+        let voltages = snap.interpolate_batch(&injections).unwrap();
+        assert_eq!(snap.handle().stats().batches - before, 2);
+        assert_eq!(voltages.len(), injections.len());
+        assert!(voltages.iter().all(|v| *v == voltages[0]));
     }
 }

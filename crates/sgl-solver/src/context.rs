@@ -141,11 +141,6 @@ impl SolverContext {
         self.stale = true;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
     /// Mark the cached handle stale even though the graph did not move
     /// (fault recovery, strategy fallback): the next
     /// [`handle_for`](SolverContext::handle_for) rebuilds from scratch.
@@ -251,14 +246,6 @@ impl SolverContext {
     /// The cached handle, if any (no build is triggered).
     pub fn current_handle(&self) -> Option<&Arc<dyn SolverHandle>> {
         self.handle.as_ref()
-    }
-
-    /// A clone of the cached handle's `Arc`, if any — shared, read-only
-    /// access for concurrent readers (handles are `Send + Sync`). A
-    /// handle is immutable once built, so the clone keeps serving the
-    /// revision it was built for after the context moves on.
-    pub fn shared_handle(&self) -> Option<Arc<dyn SolverHandle>> {
-        self.handle.clone()
     }
 
     /// How many handles this context has built — the observable cost of

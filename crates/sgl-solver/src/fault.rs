@@ -4,8 +4,7 @@
 //! solver layer ([`SolverContext`](crate::SolverContext)) and the serving
 //! layer (`sgl-serve`). Each [`FaultKind`] has *opportunity* sites in the
 //! code — points where that failure could physically occur (a
-//! preconditioner build, a PCG solve, a query validation, a
-//! writer-thread ingest). Every time execution
+//! preconditioner build, a PCG solve, a writer-thread ingest). Every time execution
 //! reaches a site it asks [`FaultPlan::should_fire`], which increments
 //! that kind's opportunity counter and fires iff the counter matches one
 //! of the plan's trigger indices.
@@ -37,10 +36,6 @@ pub enum FaultKind {
     /// Recovery: the session invalidates its solver state and retries
     /// on a fresh factorization.
     PcgStagnation,
-    /// A corrupted (NaN-poisoned) query request reaching `sgl-serve`.
-    /// Recovery: request validation rejects it as a `BadQuery` without
-    /// disturbing the batch it rode in on.
-    PoisonQuery,
     /// A panic inside the `sgl-serve` writer thread mid-ingest.
     /// Recovery: the supervised writer catches the panic, rebuilds its
     /// session from the accumulated measurements, and republishes;
@@ -50,10 +45,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in counter order.
-    pub const ALL: [FaultKind; 4] = [
+    pub const ALL: [FaultKind; 3] = [
         FaultKind::PrecondBreakdown,
         FaultKind::PcgStagnation,
-        FaultKind::PoisonQuery,
         FaultKind::WriterPanic,
     ];
 
@@ -62,7 +56,6 @@ impl FaultKind {
         match self {
             FaultKind::PrecondBreakdown => "precond-breakdown",
             FaultKind::PcgStagnation => "pcg-stagnation",
-            FaultKind::PoisonQuery => "poison-query",
             FaultKind::WriterPanic => "writer-panic",
         }
     }
@@ -71,8 +64,7 @@ impl FaultKind {
         match self {
             FaultKind::PrecondBreakdown => 0,
             FaultKind::PcgStagnation => 1,
-            FaultKind::PoisonQuery => 2,
-            FaultKind::WriterPanic => 3,
+            FaultKind::WriterPanic => 2,
         }
     }
 }
@@ -90,9 +82,9 @@ pub struct FaultEvent {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Trigger opportunity indices per kind (sorted, deduplicated).
-    triggers: [Vec<usize>; 4],
+    triggers: [Vec<usize>; 3],
     /// Live opportunity counters per kind.
-    counters: [AtomicUsize; 4],
+    counters: [AtomicUsize; 3],
     /// Log of faults that actually fired.
     injected: Mutex<Vec<FaultEvent>>,
 }
@@ -115,15 +107,13 @@ impl FaultPlan {
     }
 
     /// The standard seeded schedule used by the bench fault arm and the
-    /// CI smoke job: one early build breakdown, one PCG stagnation, one
-    /// poisoned query, and one writer panic, each at a seed-derived early
-    /// opportunity.
+    /// CI smoke job: one early build breakdown, one PCG stagnation and
+    /// one writer panic, each at a seed-derived early opportunity.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
         Self::new()
             .with_fault(FaultKind::PrecondBreakdown, rng.below(2))
             .with_fault(FaultKind::PcgStagnation, 1 + rng.below(4))
-            .with_fault(FaultKind::PoisonQuery, rng.below(3))
             .with_fault(FaultKind::WriterPanic, rng.below(2))
     }
 

@@ -49,11 +49,6 @@ impl TreeSolver {
         self.tree.num_nodes()
     }
 
-    /// Borrow the rooted tree.
-    pub fn rooted_tree(&self) -> &RootedTree {
-        &self.tree
-    }
-
     /// Solve `L_T x = b` returning the mean-zero solution.
     ///
     /// The right-hand side is projected onto the mean-zero subspace first,

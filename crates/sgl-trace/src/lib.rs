@@ -57,8 +57,8 @@ pub use metrics::{
     Counter, CounterSnapshot, Histogram, HistogramSnapshot,
 };
 pub use recorder::{
-    clear, disable, enable, enabled, event, event_with, record_interval, snapshot_events, span,
-    span_with, take_events, Event, EventKind, Payload, SpanGuard,
+    clear, disable, enable, enabled, event, event_with, snapshot_events, span, span_with,
+    take_events, Event, EventKind, Payload, SpanGuard,
 };
 
 /// Opens an RAII span; bind the guard so it drops at the end of the phase.

@@ -206,26 +206,6 @@ pub fn event_with(name: &'static str, payload: Payload) {
     });
 }
 
-/// Records a closed interval measured externally (e.g. queue wait measured
-/// between enqueue and dequeue instants on different call paths).
-#[inline]
-pub fn record_interval(name: &'static str, start: Instant, end: Instant, payload: Payload) {
-    if !enabled() {
-        return;
-    }
-    let epoch = recorder().epoch;
-    let ts_ns = start.saturating_duration_since(epoch).as_nanos() as u64;
-    let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
-    push_event(Event {
-        name,
-        kind: EventKind::Span,
-        ts_ns,
-        dur_ns,
-        tid: 0,
-        payload,
-    });
-}
-
 /// Drains all recorded events, sorted by start timestamp.
 ///
 /// An event is visible here as soon as its span guard has dropped, so

@@ -6,9 +6,8 @@
 //! accept queue + per-peer rate limiting, both shedding with
 //! `429 Retry-After`), bounded request parsing (read deadlines and
 //! size caps turn slowloris and junk into clean 4xx), and graceful
-//! degradation (client deadlines propagate to `504`; a circuit
-//! breaker turns a faulting ingest path into `503` while queries keep
-//! serving). This example queries over the wire, streams a batch in
+//! degradation (a circuit breaker turns a faulting ingest path into
+//! `503` while queries keep serving). This example queries over the wire, streams a batch in
 //! via `POST /ingest`, demonstrates the breaker tripping on
 //! quarantined batches, and finishes with the deterministic drain
 //! that hands the learning session back.

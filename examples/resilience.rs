@@ -11,11 +11,10 @@
 //!    stagnation; the recovery ladder (downgrade → invalidate-and-retry
 //!    → strategy fallback) absorbs them both and the learned graph
 //!    matches the fault-free run.
-//! 3. **Degraded serving** — serve the model with an injected writer
-//!    panic and a poisoned query while readers stream queries; the
-//!    supervised writer restarts from accumulated measurements, the
-//!    poisoned request is rejected alone, and no reader ever sees a
-//!    torn snapshot.
+//! 3. **Degraded serving** — serve the model through an injected writer
+//!    panic; the supervised writer restarts from accumulated
+//!    measurements, the reader keeps answering, and no measurement
+//!    column is lost.
 //!
 //! Run with: `cargo run --release --example resilience`
 
@@ -107,13 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let mut session = SglSession::from_owned(cfg_serve, Measurements::generate(&truth, 12, 3)?)?;
     session.run_to_completion()?;
-    let serve_plan = Arc::new(
-        FaultPlan::new()
-            .with_fault(FaultKind::WriterPanic, 0)
-            // Query opportunities tick per submit: 0 = the "before"
-            // probe, 1 = the "after" probe, 2 = the poisoned victim.
-            .with_fault(FaultKind::PoisonQuery, 2),
-    );
+    let serve_plan = Arc::new(FaultPlan::new().with_fault(FaultKind::WriterPanic, 0));
     let opts = ServeOptions {
         fault_plan: Some(Arc::clone(&serve_plan)),
         ..ServeOptions::default()
@@ -127,21 +120,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.ingest(Measurements::generate(&truth, 5, 8)?)?;
     server.flush()?;
     let after = reader.resistances(&[(0, 80)])?;
-    // The next query is poisoned by the plan — rejected alone, readers
-    // and server unharmed.
-    let poisoned = reader.resistances(&[(1, 2)]);
-    let healthy = reader.resistances(&[(1, 2)])?;
     let stats = server.stats();
     println!(
         "serving         : v{} -> v{} across an injected writer panic ({} restart)",
         before.version, after.version, stats.writer_restarts
     );
-    println!(
-        "poisoned query  : rejected alone ({}); healthy retry answered from v{}",
-        if poisoned.is_err() { "BadQuery" } else { "?" },
-        healthy.version
-    );
-    assert!(matches!(poisoned, Err(ServeError::BadQuery(_))));
     assert_eq!(stats.writer_restarts, 1);
 
     let session = server.shutdown()?;

@@ -110,11 +110,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = server.stats();
     println!(
-        "served          : {} queries, {} micro-batches, {} RHS columns ({} coalesced requests)",
+        "served          : {} queries, {} of them solve-backed (p50 {:.1} µs, p99 {:.1} µs in-server)",
         stats.queries_answered,
         stats.batches_executed,
-        stats.rhs_columns_solved,
-        stats.requests_coalesced,
+        stats.query_latency_p50_ms * 1e3,
+        stats.query_latency_p99_ms * 1e3,
     );
     println!(
         "solver revisions: {} handles built",

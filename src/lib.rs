@@ -21,7 +21,7 @@
 //! * [`sgl_serve`] — concurrent snapshot-based query serving with
 //!   streaming measurement ingest ([`SglServer`](sgl_serve::SglServer)).
 //! * [`sgl_net`] — std-only HTTP/1.1 front-end with admission control,
-//!   deadline propagation, and an ingest circuit breaker
+//!   bounded request parsing, and an ingest circuit breaker
 //!   ([`NetServer`](sgl_net::NetServer)).
 //!
 //! # Quickstart

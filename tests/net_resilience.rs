@@ -141,12 +141,6 @@ fn malformed_requests_get_clean_4xx_without_perturbing_the_session() {
             Some(400),
         ),
         (
-            "bad deadline header",
-            b"POST /resistances HTTP/1.1\r\nx-sgl-deadline-ms: soon\r\ncontent-length: 19\r\n\r\n{\"pairs\":[[0, 1]]}\n"
-                .to_vec(),
-            Some(400),
-        ),
-        (
             "truncated head",
             b"GET /healthz HTTP/1.1\r\nx-trunc".to_vec(),
             None,
@@ -216,18 +210,15 @@ fn malformed_requests_get_clean_4xx_without_perturbing_the_session() {
 /// watermark gets a mix of `200`s and `429 Retry-After`s — nothing
 /// hangs, nothing crashes, every admitted answer is complete and
 /// version-tagged, and the queue depth never exceeded the watermark.
+/// Each client holds its connection 20 ms before writing, so an
+/// admitted request occupies its worker while the burst arrives.
 #[test]
 fn overload_burst_sheds_with_429_and_bounded_queue_depth() {
-    let serve_opts = ServeOptions {
-        batch_window: Duration::from_millis(10),
-        ..ServeOptions::default()
-    };
-    let net_opts = NetOptions {
+    let net = net_server(NetOptions {
         workers: 2,
         queue_capacity: 4,
         ..NetOptions::default()
-    };
-    let net = net_server_with(serve_opts, net_opts);
+    });
     let addr = net.local_addr();
     let expect = net.serve_handle().resistances(&[(0, 1)]).unwrap().value;
 
@@ -238,7 +229,8 @@ fn overload_burst_sheds_with_429_and_bounded_queue_depth() {
         let barrier = Arc::clone(&barrier);
         threads.push(std::thread::spawn(move || {
             barrier.wait();
-            client::post(addr, "/resistances", "{\"pairs\":[[0,1]]}")
+            let hold = Duration::from_millis(20);
+            client::post_after(addr, hold, "/resistances", "{\"pairs\":[[0,1]]}")
         }));
     }
     let mut ok = 0u64;
@@ -421,56 +413,6 @@ fn disconnecting_clients_leave_the_server_serving() {
     let serve = net.serve_stats();
     assert_eq!(serve.writer_restarts, 0);
     assert_eq!(serve.version, 0);
-    net.shutdown().unwrap();
-}
-
-/// Client deadlines propagate: `x-sgl-deadline-ms` flows through the
-/// worker into the micro-batcher, and an expired wait comes back as
-/// `504 Gateway Timeout` while patient requests still succeed.
-#[test]
-fn client_deadline_propagates_into_the_micro_batcher() {
-    let serve_opts = ServeOptions {
-        batch_window: Duration::from_millis(300),
-        ..ServeOptions::default()
-    };
-    let net = net_server_with(serve_opts, NetOptions::default());
-    let addr = net.local_addr();
-
-    // The leader opens a 300 ms collection window; the impatient
-    // follower joins it with a 5 ms budget and must get a 504 long
-    // before the window closes.
-    let leader =
-        std::thread::spawn(move || client::post(addr, "/resistances", "{\"pairs\":[[0,1]]}"));
-    std::thread::sleep(Duration::from_millis(50));
-    let started = Instant::now();
-    let reply = client::post_with_headers(
-        addr,
-        "/resistances",
-        &[("x-sgl-deadline-ms", "5")],
-        "{\"pairs\":[[2,3]]}",
-    )
-    .unwrap();
-    assert_eq!(reply.status, 504, "expired deadline should map to 504");
-    assert!(
-        started.elapsed() < Duration::from_millis(200),
-        "the 504 must arrive well before the batch window closes"
-    );
-    let leader_reply = leader.join().unwrap().unwrap();
-    assert_eq!(
-        leader_reply.status, 200,
-        "the patient leader still succeeds"
-    );
-    assert_eq!(net.serve_stats().deadline_misses, 1);
-
-    // A generous deadline sails through.
-    let reply = client::post_with_headers(
-        addr,
-        "/resistances",
-        &[("x-sgl-deadline-ms", "5000")],
-        "{\"pairs\":[[0,1]]}",
-    )
-    .unwrap();
-    assert_eq!(reply.status, 200);
     net.shutdown().unwrap();
 }
 

@@ -271,11 +271,17 @@ fn serve_stats_surface_server_side_latency() {
     session.run_to_completion().unwrap();
     let server = SglServer::new(session, ServeOptions::default()).unwrap();
     let reader = server.handle();
+    // A rejected query is neither counted as solved nor timed.
+    assert!(reader.resistances(&[(0, 0)]).is_err());
+    let stats = server.stats();
+    assert_eq!(stats.batches_executed, 0);
+    assert_eq!(stats.query_latency_p50_ms, 0.0);
     for i in 0..8 {
         reader.resistances(&[(0, 12 + i)]).unwrap();
     }
     let stats = server.stats();
     assert!(stats.queries_answered >= 8);
+    assert_eq!(stats.batches_executed, 8);
     assert!(
         stats.query_latency_p50_ms > 0.0 && stats.query_latency_p99_ms > 0.0,
         "server-side latency histogram recorded nothing: {stats:?}"
@@ -286,7 +292,57 @@ fn serve_stats_surface_server_side_latency() {
         stats.query_latency_p50_ms,
         stats.query_latency_p99_ms
     );
-    assert!(stats.queue_wait_p50_ms <= stats.queue_wait_p99_ms);
+}
+
+/// A served request traces end to end: the network worker's `request`
+/// span contains, on the same thread, the serving layer's `query` span,
+/// which contains the `solve_batch` span that answered it.
+#[test]
+fn served_request_nests_query_and_solve_on_the_worker_thread() {
+    let _guard = sgl_trace::test_guard();
+    let truth = sgl_datasets::grid2d(5, 5);
+    let meas = Measurements::generate(&truth, 10, 3).unwrap();
+    let cfg = SglConfig::builder()
+        .k(4)
+        .r(4)
+        .tol(0.0)
+        .max_iterations(3)
+        .build()
+        .unwrap();
+    let mut session = SglSession::from_owned(cfg, meas).unwrap();
+    session.run_to_completion().unwrap();
+    let server = SglServer::new(session, ServeOptions::default()).unwrap();
+    let net = NetServer::bind(server, sgl_net::loopback(), NetOptions::default()).unwrap();
+
+    sgl_trace::clear();
+    sgl_trace::enable();
+    let reply =
+        sgl_net::client::post(net.local_addr(), "/resistances", "{\"pairs\":[[0,24]]}").unwrap();
+    // Shutdown joins the workers, so every span they opened has closed.
+    net.shutdown().unwrap();
+    sgl_trace::disable();
+    assert_eq!(reply.status, 200, "{}", reply.text());
+
+    let events = sgl_trace::take_events();
+    let spans = |name: &str| -> Vec<sgl_trace::Event> {
+        events.iter().filter(|e| e.name == name).copied().collect()
+    };
+    let inside = |outer: &sgl_trace::Event, inner: &sgl_trace::Event| {
+        inner.tid == outer.tid
+            && inner.ts_ns >= outer.ts_ns
+            && inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns
+    };
+    let requests = spans("request");
+    assert_eq!(requests.len(), 1, "one request, one `request` span");
+    let request = requests[0];
+    let query = spans("query")
+        .into_iter()
+        .find(|q| inside(&request, q))
+        .expect("no `query` span inside the `request` span");
+    assert!(
+        spans("solve_batch").iter().any(|s| inside(&query, s)),
+        "no `solve_batch` span inside the `query` span"
+    );
 }
 
 /// Minimal recursive-descent JSON validator (no serde in the offline

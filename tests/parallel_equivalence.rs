@@ -127,8 +127,8 @@ fn pairwise_resistances_identical_at_any_thread_count() {
 fn served_snapshot_queries_identical_at_any_thread_count() {
     // The serving layer inherits the determinism contract: a pinned
     // GraphSnapshot answers resistance and interpolation queries
-    // bit-identically at every ambient worker count, and the
-    // micro-batched handle path reproduces the direct snapshot path.
+    // bit-identically at every ambient worker count, and the serve
+    // handle path reproduces the direct snapshot path.
     let truth = sgl_datasets::grid2d(8, 8);
     let meas = Measurements::generate(&truth, 15, 3).unwrap();
     let cfg = SglConfig::builder()

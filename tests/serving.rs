@@ -169,8 +169,8 @@ fn fixed_snapshot_bit_identical_across_reader_and_thread_counts() {
         assert_eq!(answers, canonical, "ambient threads = {threads}");
     }
 
-    // Concurrent readers through the micro-batcher (any coalescing mix)
-    // must reproduce the same bits.
+    // Concurrent readers through serve handles must reproduce the same
+    // bits.
     for readers in [1usize, 2, 4] {
         let mut threads = Vec::new();
         for _ in 0..readers {
@@ -191,12 +191,11 @@ fn fixed_snapshot_bit_identical_across_reader_and_thread_counts() {
     }
 }
 
-/// Micro-batched interpolation answers equal the direct snapshot solve
-/// (coalescing never changes a solution), and per-request validation
-/// errors stay individual — a bad request in a batch cannot poison its
-/// neighbors.
+/// Concurrent handle interpolation answers equal the direct snapshot
+/// solve, and per-request validation errors stay individual — a bad
+/// request cannot poison the requests running beside it.
 #[test]
-fn micro_batching_preserves_answers_and_isolates_bad_requests() {
+fn concurrent_queries_preserve_answers_and_isolate_bad_requests() {
     let (session, _) = session_and_columns(6, 10, 10);
     let n = 36usize;
     let server = SglServer::new(session, ServeOptions::default()).unwrap();
@@ -225,10 +224,7 @@ fn micro_batching_preserves_answers_and_isolates_bad_requests() {
     let bad = std::thread::spawn(move || bad_handle.interpolate(&[1.0, -1.0]));
     for t in threads {
         let (i, resp) = t.join().unwrap();
-        assert_eq!(
-            resp.value, direct[i],
-            "coalesced interpolation changed bits"
-        );
+        assert_eq!(resp.value, direct[i], "handle interpolation changed bits");
     }
     assert!(matches!(bad.join().unwrap(), Err(ServeError::BadQuery(_))));
 
