@@ -3,8 +3,14 @@
 //! This is the eigensolver behind Step 2 of the SGL loop: it computes the
 //! first `r−1` nontrivial Laplacian eigenpairs of the evolving learned
 //! graph, with the constant vector deflated through an explicit constraint
-//! and a fast Laplacian solver (tree solve or AMG V-cycle) plugged in as
-//! the preconditioner.
+//! and a fast Laplacian solver plugged in as the preconditioner. SGL's
+//! embed passes an exact `L⁺` while the graph is a near-tree (`k` off-tree
+//! edges with `k² ≤ 16·n`: a tree solve plus a Woodbury correction), and
+//! an AMG V-cycle above that rule, where a tree solve alone would need
+//! many times the iterations. The constraints are projected out of every
+//! new block: with a near-exact inverse the preconditioned residuals fall
+//! almost inside the block, and the round-off their normalization
+//! amplifies must not accumulate along the constant vector.
 //!
 //! The iteration is the standard form of Knyazev (2001). With a search
 //! block of `b = nev + extra_block` columns, one iteration costs:

@@ -12,6 +12,11 @@ use std::cell::RefCell;
 /// a small multiple of the `O(n)` tree sweeps.
 const MAX_OFF_TREE_SQ_PER_NODE: usize = 16;
 
+/// Whether `k` off-tree edges on `n` nodes fall within the exactness rule.
+fn off_tree_fits(n: usize, k: usize) -> bool {
+    k.saturating_mul(k) <= MAX_OFF_TREE_SQ_PER_NODE.saturating_mul(n)
+}
+
 /// Spanning-tree (support-graph) preconditioner: an exact solve on a
 /// maximum spanning tree `T` of the graph, corrected for the off-tree
 /// edges when there are few of them.
@@ -63,7 +68,7 @@ impl OffTreeCorrection {
     /// thread count.
     fn build(g: &Graph, tree: &TreeSolver, off_tree: &[usize]) -> Option<Self> {
         let (n, k) = (g.num_nodes(), off_tree.len());
-        if k == 0 || k.saturating_mul(k) > MAX_OFF_TREE_SQ_PER_NODE.saturating_mul(n) {
+        if k == 0 || !off_tree_fits(n, k) {
             return None;
         }
         let edges: Vec<(usize, usize)> = off_tree
@@ -112,6 +117,23 @@ impl TreePreconditioner {
         let solver = TreeSolver::new(&t.to_graph(g));
         let off_tree = OffTreeCorrection::build(g, &solver, &t.off_tree_edges());
         TreePreconditioner { solver, off_tree }
+    }
+
+    /// The exact `L⁺` of a connected tree or near-tree, or `None` where
+    /// [`from_graph`](Self::from_graph) would fall back to the plain tree
+    /// solve: above the rule, decided from `k = m − (n − 1)` before
+    /// anything is built, or when the capacitance fails to factor.
+    ///
+    /// # Panics
+    /// Panics if the graph is disconnected.
+    pub fn exact(g: &Graph) -> Option<Self> {
+        let n = g.num_nodes();
+        let k = (g.num_edges() + 1).saturating_sub(n);
+        if !off_tree_fits(n, k) {
+            return None;
+        }
+        let m = Self::from_graph(g);
+        (k == 0 || m.off_tree.is_some()).then_some(m)
     }
 
     /// Build directly from a known spanning tree (the plain tree solve).
@@ -272,6 +294,7 @@ mod tests {
         // Through `from_graph`, k = 0: a pure tree needs no correction.
         let from_graph = TreePreconditioner::from_graph(&tree);
         assert!(from_graph.off_tree.is_none());
+        assert!(TreePreconditioner::exact(&tree).is_some());
         for m in [TreePreconditioner::from_tree(&tree), from_graph] {
             let iters = solve_with(&tree, &m, 3);
             assert!(iters <= 2, "tree-preconditioned solve took {iters} iters");
@@ -306,6 +329,7 @@ mod tests {
         }
         let m = TreePreconditioner::from_graph(&g);
         assert_eq!(m.off_tree.as_ref().map(|c| c.edges.len()), Some(20));
+        assert!(TreePreconditioner::exact(&g).is_some());
 
         let dense = SolverPolicy::default()
             .with_method(PolicyMethod::DenseCholesky)
@@ -335,6 +359,7 @@ mod tests {
         let g = sgl_datasets::grid2d(7, 7);
         let m = TreePreconditioner::from_graph(&g);
         assert!(m.off_tree.is_none());
+        assert!(TreePreconditioner::exact(&g).is_none());
         assert!(solve_with(&g, &m, 7) > 1);
     }
 

@@ -152,6 +152,44 @@ fn counter_totals_are_bit_stable_across_thread_counts() {
 }
 
 #[test]
+fn embed_fallbacks_count_every_switch_to_shift_invert() {
+    let _guard = sgl_trace::test_guard();
+    sgl_trace::clear();
+    sgl_trace::enable();
+
+    let fallbacks = |run: &dyn Fn()| {
+        sgl_trace::reset_metrics();
+        run();
+        sgl_trace::counters_snapshot()
+            .into_iter()
+            .find(|c| c.name == "embed.fallbacks")
+            .map_or(0, |c| c.value)
+    };
+    // The stall config of `tests/resilience.rs`: LOBPCG cannot reach
+    // its tolerance in two iterations, so every embed falls back.
+    let stalled = fallbacks(&|| {
+        let truth = sgl_datasets::grid2d(9, 9);
+        let meas = Measurements::generate(&truth, 20, 5).unwrap();
+        let cfg = SglConfig::builder()
+            .tol(1e-6)
+            .max_iterations(80)
+            .eig_tol(1e-12)
+            .eig_max_iter(2)
+            .build()
+            .unwrap();
+        Sgl::new(cfg).learn(&meas).unwrap();
+    });
+    let default = fallbacks(&|| {
+        learn(1);
+    });
+    sgl_trace::disable();
+    sgl_trace::clear();
+
+    assert!(stalled > 0, "the stalled learn never fell back");
+    assert_eq!(default, 0, "a default grid learn fell back {default} times");
+}
+
+#[test]
 fn multilevel_revision_stats_count_every_handle_built() {
     let _guard = sgl_trace::test_guard();
     sgl_trace::clear();
