@@ -825,8 +825,7 @@ mod tests {
         // three chords per step, and each solve is warm-started from the
         // last. With an exact inverse, W falls almost inside span(X); its
         // normalized remainder then carries amplified round-off along the
-        // constant vector, which leaked into X before X was deflated
-        // every iteration.
+        // constant vector, which X must not accumulate.
         let (n, nev) = (100, 9);
         let ones = vec![1.0; n];
         let weight = |rng: &mut Rng| 10f64.powf(4.0 * rng.uniform() - 2.0);
