@@ -166,7 +166,7 @@ fn embed_fallbacks_count_every_switch_to_shift_invert() {
             .map_or(0, |c| c.value)
     };
     // The stall config of `tests/resilience.rs`: LOBPCG cannot reach
-    // its tolerance in two iterations, so every embed falls back.
+    // its tolerance in two iterations, so the embeds fall back.
     let stalled = fallbacks(&|| {
         let truth = sgl_datasets::grid2d(9, 9);
         let meas = Measurements::generate(&truth, 20, 5).unwrap();
