@@ -13,6 +13,8 @@
 //!   perforated plate (`fe_4elt2`-like), triangulated into meshes;
 //! * [`circuit`] — power-grid-style networks ("G2_circuit"-like);
 //! * [`random_geometric`] — random geometric graphs for tests;
+//! * [`weighted_near_tree`] — a random tree plus a few chords, the shape
+//!   SGL learns, with conductances spread over four decades;
 //! * [`TestCase`] — one-call access to paper-sized instances.
 //!
 //! Every generator is deterministic given its seed.
@@ -126,6 +128,36 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
     Graph::from_edges(n, edges)
 }
 
+/// A random recursive tree on `n` nodes plus `chords` random chords
+/// (`n − 1 + chords` edges), every conductance log-uniform in
+/// `[1e-2, 1e2]`: the near-tree shape SGL learns, with the wide weight
+/// spread that stresses solvers and eigensolvers.
+///
+/// # Panics
+/// Panics if `n == 0` or if `chords` exceeds the `(n−1)(n−2)/2` pairs
+/// left outside the tree.
+pub fn weighted_near_tree(n: usize, chords: usize, seed: u64) -> Graph {
+    assert!(n > 0, "weighted_near_tree: n must be positive");
+    assert!(
+        chords <= (n - 1) * n.saturating_sub(2) / 2,
+        "weighted_near_tree: {chords} chords do not fit on {n} nodes"
+    );
+    let mut rng = Rng::seed_from_u64(seed);
+    let weight = |rng: &mut Rng| 10f64.powf(4.0 * rng.uniform() - 2.0);
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        let u = rng.below(v);
+        g.add_edge(u, v, weight(&mut rng));
+    }
+    while g.num_edges() < n - 1 + chords {
+        let (u, v) = (rng.below(n), rng.below(n));
+        if u != v && !g.has_edge(u, v) {
+            g.add_edge(u, v, weight(&mut rng));
+        }
+    }
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +198,17 @@ mod tests {
         for d in t.degrees() {
             assert_eq!(d, 4);
         }
+    }
+
+    #[test]
+    fn weighted_near_tree_counts() {
+        let g = weighted_near_tree(200, 20, 11);
+        assert_eq!(g.num_nodes(), 200);
+        assert_eq!(g.num_edges(), 199 + 20);
+        assert!(is_connected(&g));
+        assert!(g.edges().iter().all(|e| (1e-2..=1e2).contains(&e.weight)));
+        let h = weighted_near_tree(200, 20, 11);
+        assert!(g.edges().iter().zip(h.edges()).all(|(a, b)| a == b));
     }
 
     #[test]

@@ -315,18 +315,7 @@ mod tests {
         // A random recursive tree on 200 nodes plus 20 chords (k² = 400
         // ≤ 16·n), every conductance log-uniform in [1e-2, 1e2].
         let n = 200;
-        let mut rng = Rng::seed_from_u64(11);
-        let mut g = Graph::new(n);
-        for v in 1..n {
-            let u = rng.below(v);
-            g.add_edge(u, v, 10f64.powf(4.0 * rng.uniform() - 2.0));
-        }
-        while g.num_edges() < n - 1 + 20 {
-            let (u, v) = (rng.below(n), rng.below(n));
-            if u != v && !g.has_edge(u, v) {
-                g.add_edge(u, v, 10f64.powf(4.0 * rng.uniform() - 2.0));
-            }
-        }
+        let g = sgl_datasets::weighted_near_tree(n, 20, 11);
         let m = TreePreconditioner::from_graph(&g);
         assert_eq!(m.off_tree.as_ref().map(|c| c.edges.len()), Some(20));
         assert!(TreePreconditioner::exact(&g).is_some());
