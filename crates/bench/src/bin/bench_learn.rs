@@ -35,9 +35,8 @@
 //! * the multilevel hierarchy is bit-identical across thread counts.
 //! * the resilience contract — an interrupt/checkpoint/restore run
 //!   continues bit-identical to the uninterrupted one, and a run under
-//!   a seeded [`FaultPlan`] (preconditioner breakdown, PCG stagnation)
-//!   still converges to the fault-free graph (identical edge set,
-//!   weights within 1e-6).
+//!   a seeded [`FaultPlan`] (PCG stagnation) still converges to the
+//!   fault-free graph (identical edge set, weights within 1e-6).
 //!
 //! Usage: `bench_learn [--threads N] [--m 30] [--iters 60] [--tol 1e-4]
 //! [--quick] [--ml-side S] [--fault-seed S] [--schema-against PATH]`
@@ -55,7 +54,7 @@ use sgl_datasets::delaunay::{delaunay, Point};
 use sgl_graph::Graph;
 use sgl_linalg::{par, DenseMatrix, Rng};
 use sgl_multilevel::{learn_multilevel, HierarchyOptions, MultilevelOptions, MultilevelResult};
-use sgl_solver::{RevisionStats, SolveStats};
+use sgl_solver::SolveStats;
 use std::io::Write;
 
 /// Resistance probes per iteration (the per-iteration solver workload).
@@ -103,7 +102,7 @@ struct Run {
     edges: usize,
     converged: bool,
     solver: SolveStats,
-    revisions: RevisionStats,
+    handles_built: usize,
     result: LearnResult,
 }
 
@@ -132,7 +131,7 @@ fn run_learn(scenario: &Scenario, config: &SglConfig, threads: usize) -> Run {
         edges: result.graph.num_edges(),
         converged: result.converged,
         solver: result.solver_stats,
-        revisions: result.revision_stats,
+        handles_built: result.handles_built,
         result,
     }
 }
@@ -189,7 +188,7 @@ fn run_strategy_ab(
             scenario.name
         );
         assert_eq!(
-            run.revisions.handles_built, 0,
+            run.handles_built, 0,
             "{}: solver-free arm built a solver handle",
             scenario.name
         );
@@ -226,8 +225,8 @@ struct MultilevelBench {
     multi_wall: f64,
     flat_stats: SolveStats,
     multi_stats: SolveStats,
-    flat_revisions: RevisionStats,
-    multi_revisions: RevisionStats,
+    flat_handles: usize,
+    multi_handles: usize,
     flat_edges: usize,
     multi_edges: usize,
     eig_rel_err: f64,
@@ -312,8 +311,8 @@ fn run_multilevel_bench(side: usize, threads: usize, m: usize) -> MultilevelBenc
         multi_wall,
         flat_stats: flat.solver_stats,
         multi_stats: multi.solver_stats,
-        flat_revisions: flat.revision_stats,
-        multi_revisions: multi.revision_stats,
+        flat_handles: flat.handles_built,
+        multi_handles: multi.handles_built,
         flat_edges: flat.graph.num_edges(),
         multi_edges: multi.graph.num_edges(),
         eig_rel_err: cmp.mean_relative_error,
@@ -336,7 +335,6 @@ struct ResilienceBench {
     /// Faults the seeded plan actually fired.
     faults_injected: usize,
     fault_kinds: Vec<&'static str>,
-    precond_downgrades: usize,
     fallbacks_taken: usize,
     /// Per-iteration resistance probes dropped because an injected
     /// fault surfaced through the telemetry path (learning continued).
@@ -392,10 +390,10 @@ fn run_resilience_bench(
     );
 
     // --- Seeded-fault run ---------------------------------------------
-    // The standard seeded schedule fires on the probe workload's solver
-    // traffic (handle builds, solves). Probes that a
-    // fault reaches are dropped and counted; learning itself recovers
-    // through the ladder and must land on the fault-free graph.
+    // The standard seeded schedule fires on the run's solves, the
+    // probes' included. Probes that a fault reaches are dropped and
+    // counted; learning itself recovers by retrying the step on a fresh
+    // handle and must land on the fault-free graph.
     let plan = std::sync::Arc::new(FaultPlan::seeded(fault_seed));
     let probes = sample_node_pairs(scenario.meas.num_nodes(), PROBES_PER_ITER, 0x9E0B);
     let mut probe_failures = 0usize;
@@ -452,7 +450,6 @@ fn run_resilience_bench(
         resumed,
         faults_injected: plan.injected_count(),
         fault_kinds: plan.injected().iter().map(|e| e.kind.as_str()).collect(),
-        precond_downgrades: faulted.revision_stats.precond_downgrades,
         fallbacks_taken: faulted.fallbacks_taken,
         probe_failures,
         fault_run_converged: faulted.converged,
@@ -751,7 +748,7 @@ fn main() {
                 run.iterations.to_string(),
                 run.edges.to_string(),
                 run.solver.iterations.to_string(),
-                run.revisions.handles_built.to_string(),
+                run.handles_built.to_string(),
             ]);
             rows.push((sc.name, sc.nodes, run));
         }
@@ -796,7 +793,7 @@ fn main() {
     println!(
         "\nresilience (grid, {} nodes): checkpoint at iteration {} ({} bytes, {:.4}s write, \
          {:.4}s restore), resumed bit-identical ✓; seeded faults (seed {fault_seed}): \
-         {} injected [{}], {} downgrades, {} fallbacks, {} probes dropped, \
+         {} injected [{}], {} fallbacks, {} probes dropped, \
          max weight drift {:.2e} vs fault-free ✓",
         res.nodes,
         res.checkpoint_iteration,
@@ -805,7 +802,6 @@ fn main() {
         res.restore_s,
         res.faults_injected,
         res.fault_kinds.join(", "),
-        res.precond_downgrades,
         res.fallbacks_taken,
         res.probe_failures,
         res.max_weight_rel_diff,
@@ -866,7 +862,7 @@ fn main() {
             run.solver.solves,
             run.solver.iterations,
             run.solver.last_relative_residual,
-            run.revisions.handles_built,
+            run.handles_built,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -888,7 +884,7 @@ fn main() {
             ab.free.converged,
             ab.free.result.stop_verdict.as_str(),
             ab.free.solver.solves,
-            ab.free.revisions.handles_built,
+            ab.free.handles_built,
             sci(ab.eig_rel_err),
             ab.eig_corr,
             if i + 1 < strategy_abs.len() { "," } else { "" }
@@ -916,8 +912,8 @@ fn main() {
         ml.multi_stats.iterations,
         ml.flat_stats.solves,
         ml.multi_stats.solves,
-        ml.flat_revisions.handles_built,
-        ml.multi_revisions.handles_built,
+        ml.flat_handles,
+        ml.multi_handles,
         ml.flat_edges,
         ml.multi_edges,
         sci(ml.eig_rel_err),
@@ -950,7 +946,7 @@ fn main() {
         "  \"resilience\": {{\"scenario\": \"grid\", \"nodes\": {}, \"fault_seed\": {}, \
          \"checkpoint_iteration\": {}, \"checkpoint_bytes\": {}, \
          \"checkpoint_write_s\": {:.9}, \"restore_s\": {:.9}, \"resumed\": {}, \
-         \"faults_injected\": {}, \"fault_kinds\": [{}], \"precond_downgrades\": {}, \
+         \"faults_injected\": {}, \"fault_kinds\": [{}], \
          \"fallbacks_taken\": {}, \"probe_failures\": {}, \"fault_run_converged\": {}, \
          \"max_weight_rel_diff\": {}, \"graphs_equivalent\": true}}\n",
         res.nodes,
@@ -962,7 +958,6 @@ fn main() {
         res.resumed,
         res.faults_injected,
         kinds.join(", "),
-        res.precond_downgrades,
         res.fallbacks_taken,
         res.probe_failures,
         res.fault_run_converged,

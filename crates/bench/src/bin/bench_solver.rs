@@ -64,7 +64,6 @@ fn main() {
         PolicyMethod::Auto,
         PolicyMethod::TreePcg,
         PolicyMethod::AmgPcg,
-        PolicyMethod::JacobiPcg,
         PolicyMethod::DenseCholesky,
     ] {
         let policy = SolverPolicy {

@@ -141,9 +141,10 @@ pub struct LearnResult {
     /// Lifetime Laplacian-solve statistics of the run (all handle
     /// revisions combined); all-zero for a solver-free pipeline.
     pub solver_stats: sgl_solver::SolveStats,
-    /// Revision counters of the session's solver context: handles built
-    /// (one per solved graph revision) and ladder downgrades.
-    pub revision_stats: sgl_solver::RevisionStats,
+    /// Solver handles the session's context built: one per solved graph
+    /// revision, plus rebuilds after recovery; 0 for a solver-free
+    /// pipeline.
+    pub handles_built: usize,
     /// How many times the session degraded its learning strategy
     /// (Solver → SolverFree) after repeated solver failures. Zero on a
     /// healthy run.

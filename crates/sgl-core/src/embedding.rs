@@ -7,15 +7,13 @@
 //! computed by deflated LOBPCG, warm-started from the previous
 //! iteration's block, which keeps every SGL iteration nearly linear.
 //!
-//! The preconditioner follows the graph. SGL learns near-trees: a
+//! The preconditioner follows the graph, by the same rule the solver
+//! layer's `Auto` uses ([`exact_tree_or_amg`]). SGL learns near-trees: a
 //! spanning tree plus `k = m − (n − 1)` off-tree edges. While
-//! `k² ≤ 16·n`, [`TreePreconditioner::exact`] is an exact `L⁺` (a tree
-//! solve with a Woodbury correction for the off-tree edges), and LOBPCG
-//! converges in a few steps. Above that rule the correction is not built,
-//! and a tree solve alone supports the off-tree edges poorly: on a 30×30
-//! grid the plain tree took 282 iterations where an aggregation-AMG
-//! V-cycle takes 19. Such graphs (meshes, and the densest learned graphs)
-//! stay on [`AmgHierarchy`].
+//! `k² ≤ 16·n` the preconditioner is an exact `L⁺` (a tree solve with a
+//! Woodbury correction for the off-tree edges), and LOBPCG converges in
+//! a few steps. Graphs above the rule (meshes, and the densest learned
+//! graphs) are preconditioned by an aggregation-AMG V-cycle.
 
 use crate::backend::Embedder;
 use crate::error::SglError;
@@ -23,8 +21,8 @@ use sgl_graph::laplacian::LaplacianOp;
 use sgl_graph::Graph;
 use sgl_linalg::lanczos::{lanczos_largest, LanczosOptions};
 use sgl_linalg::lobpcg::{lobpcg_with_guess, LobpcgOptions};
-use sgl_linalg::{vecops, DenseMatrix, FnOperator, LinalgError, Preconditioner, ProjectedOperator};
-use sgl_solver::{AmgHierarchy, SolverContext, SolverHandle, SolverPolicy, TreePreconditioner};
+use sgl_linalg::{vecops, DenseMatrix, FnOperator, LinalgError, ProjectedOperator};
+use sgl_solver::{exact_tree_or_amg, SolverContext, SolverHandle, SolverPolicy};
 use std::cell::RefCell;
 
 /// A spectral embedding `U_r` (eq. 12): row `u` is node `u`'s coordinate.
@@ -120,10 +118,7 @@ pub(crate) fn lobpcg_embedding(
 ) -> Result<Embedding, SglError> {
     let n = graph.num_nodes();
     let op = LaplacianOp::new(graph);
-    let precond: Box<dyn Preconditioner> = match TreePreconditioner::exact(graph) {
-        Some(tree) => Box::new(tree),
-        None => Box::new(AmgHierarchy::build(graph)),
-    };
+    let (_, precond) = exact_tree_or_amg(graph);
     let ones = vec![1.0; n];
     let res = match lobpcg_with_guess(
         &op,

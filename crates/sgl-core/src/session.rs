@@ -355,10 +355,10 @@ impl<'m> SglSession<'m> {
     }
 
     /// Install a deterministic fault-injection schedule on the session's
-    /// solver context (see [`FaultPlan`]): subsequent handle builds and
-    /// solves consult the plan, exercising the recovery paths —
-    /// preconditioner downgrade ladder, solver-state invalidation with
-    /// step retry, and the Solver → SolverFree strategy fallback.
+    /// solver context (see [`FaultPlan`]): subsequent solves consult the
+    /// plan for PCG stagnation, exercising the recovery paths —
+    /// solver-state invalidation with step retry, and the Solver →
+    /// SolverFree strategy fallback.
     pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.solver.set_fault_plan(plan);
     }
@@ -785,7 +785,7 @@ impl<'m> SglSession<'m> {
             scale_factor,
             embedding: self.embedding.expect("embedding ensured above"),
             solver_stats: self.solver.cumulative_stats(),
-            revision_stats: self.solver.revision_stats(),
+            handles_built: self.solver.handles_built(),
             fallbacks_taken: self.fallbacks_taken,
         };
         for obs in &mut self.observers {

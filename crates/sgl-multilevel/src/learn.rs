@@ -155,9 +155,9 @@ pub struct MultilevelResult {
     /// coarsest session's plus every prolong/refine/scale solve above
     /// it.
     pub solver_stats: SolveStats,
-    /// Revision counters of the whole run (coarsest session, upward
-    /// sweep and in-cycle pruning): handles built and ladder downgrades.
-    pub revision_stats: sgl_solver::RevisionStats,
+    /// Solver handles built over the whole run: the coarsest session's,
+    /// the upward sweep's and in-cycle pruning's.
+    pub handles_built: usize,
 }
 
 impl MultilevelResult {
@@ -314,7 +314,7 @@ fn learn_inner(
     // onto the aggregate's members before the first fine embed.
     let mut warm_coords = Some(coarse_result.embedding.coords.clone());
     let mut prune_stats = SolveStats::default();
-    let mut prune_revisions = sgl_solver::RevisionStats::default();
+    let mut prune_handles = 0;
     for l in (0..coarsest).rev() {
         let _level_sp = sgl_trace::span!("level", count = l);
         let level = hierarchy.level(l);
@@ -356,7 +356,7 @@ fn learn_inner(
                 )?;
                 pruned = s.dropped_edges;
                 prune_stats.absorb(&s.solver_stats);
-                prune_revisions.absorb(&s.revision_stats);
+                prune_handles += s.handles_built;
                 fine = s.graph;
             }
         }
@@ -385,9 +385,7 @@ fn learn_inner(
     let mut solver_stats = coarse_result.solver_stats;
     solver_stats.absorb(&ctx.cumulative_stats());
     solver_stats.absorb(&prune_stats);
-    let mut revision_stats = coarse_result.revision_stats;
-    revision_stats.absorb(&ctx.revision_stats());
-    revision_stats.absorb(&prune_revisions);
+    let handles_built = coarse_result.handles_built + ctx.handles_built() + prune_handles;
     Ok(MultilevelResult {
         graph: current,
         level_sizes: hierarchy.level_sizes(),
@@ -395,7 +393,7 @@ fn learn_inner(
         reports,
         scale_factor,
         solver_stats,
-        revision_stats,
+        handles_built,
     })
 }
 

@@ -17,7 +17,7 @@ use sgl_core::{
 };
 use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::Graph;
-use sgl_solver::{RevisionStats, SolveStats, SolverContext, SolverPolicy};
+use sgl_solver::{SolveStats, SolverContext, SolverPolicy};
 
 /// JL projections of the solver strategy's leverage sketch: one batched
 /// solve of this many right-hand sides scores every edge.
@@ -74,9 +74,8 @@ pub struct Sparsified {
     pub within_tolerance: bool,
     /// Laplacian-solve statistics of the resistance estimation.
     pub solver_stats: SolveStats,
-    /// Handles built (and ladder downgrades) for the resistance
-    /// estimation.
-    pub revision_stats: RevisionStats,
+    /// Solver handles built for the resistance estimation.
+    pub handles_built: usize,
 }
 
 /// Prune `graph` down to at most `target_density · N` edges by
@@ -116,7 +115,7 @@ pub fn sparsify_by_resistance(
             spectral: None,
             within_tolerance: true,
             solver_stats: SolveStats::default(),
-            revision_stats: RevisionStats::default(),
+            handles_built: 0,
         });
     }
 
@@ -173,7 +172,7 @@ pub fn sparsify_by_resistance(
         spectral,
         within_tolerance,
         solver_stats: ctx.cumulative_stats(),
-        revision_stats: ctx.revision_stats(),
+        handles_built: ctx.handles_built(),
     })
 }
 

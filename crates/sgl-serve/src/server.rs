@@ -25,7 +25,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sgl_core::{FaultKind, FaultPlan, Measurements, SglSession};
-use sgl_solver::RevisionStats;
 
 use crate::epoch::SnapshotCell;
 use crate::snapshot::GraphSnapshot;
@@ -108,9 +107,9 @@ pub struct ServeStats {
     /// Reads 0: no query waits in a queue. Kept only because the
     /// repository benchmark reads it; ROADMAP item 4 drops it.
     pub queue_wait_p99_ms: f64,
-    /// The session solver context's revision counters at the last
-    /// publish — handles built and ladder downgrades.
-    pub revision: RevisionStats,
+    /// Solver handles the session's context had built at the last
+    /// publish.
+    pub handles_built: usize,
 }
 
 /// A query answer tagged with the snapshot version that produced it.
@@ -592,7 +591,7 @@ impl ServeHandle {
             batches_rejected: self.shared.batches_rejected.load(Ordering::Relaxed),
             pending_batches: self.shared.pending_batches.load(Ordering::Relaxed),
             writer_restarts: self.shared.writer_restarts.load(Ordering::Relaxed),
-            revision: snap.revision_stats(),
+            handles_built: snap.handles_built(),
         }
     }
 

@@ -24,7 +24,7 @@ use sgl_core::clustering::{kmeans, KMeansResult};
 use sgl_core::{Embedding, ResistanceEstimator, SglError, SglSession};
 use sgl_graph::Graph;
 use sgl_linalg::vecops;
-use sgl_solver::{RevisionStats, SolverHandle};
+use sgl_solver::SolverHandle;
 
 use crate::ServeError;
 
@@ -49,7 +49,7 @@ pub struct GraphSnapshot {
     clusters: KMeansResult,
     num_measurements: usize,
     iterations: usize,
-    revision_stats: RevisionStats,
+    handles_built: usize,
 }
 
 impl std::fmt::Debug for GraphSnapshot {
@@ -94,7 +94,7 @@ impl GraphSnapshot {
             clusters,
             num_measurements: session.measurements().num_measurements(),
             iterations: session.trace().len(),
-            revision_stats: session.solver_context().revision_stats(),
+            handles_built: session.solver_context().handles_built(),
         })
     }
 
@@ -139,10 +139,9 @@ impl GraphSnapshot {
         self.iterations
     }
 
-    /// The session solver context's revision counters at snapshot time
-    /// (handles built and ladder downgrades).
-    pub fn revision_stats(&self) -> RevisionStats {
-        self.revision_stats
+    /// Solver handles the session's context had built at snapshot time.
+    pub fn handles_built(&self) -> usize {
+        self.handles_built
     }
 
     /// Spectral coordinates of `node` (an `r−1`-vector).

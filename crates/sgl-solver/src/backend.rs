@@ -6,20 +6,21 @@
 //! stage asks a [`SolverPolicy`] — the plain-data description of which
 //! method to run and how hard — to build a *handle* for the current graph
 //! and reuses it for every right-hand side.
-//! [`SolverPolicy::build_handle`] is the only way to get a solver, and the
-//! method decision (including the `Auto` rule) lives here alone.
+//! [`SolverPolicy::build_handle`] is the only way to get a solver. It
+//! resolves `Auto` to the exact tree solve on trees and otherwise to
+//! [`exact_tree_or_amg`]'s choice, the rule Step 2's embed shares.
 //!
 //! [`SolverHandle`] is object-safe: sessions share
 //! `Arc<dyn SolverHandle>` across stages.
 
 use crate::amg::AmgHierarchy;
 use crate::laplacian_solver::{Kernel, PcgHandle};
-use crate::preconditioner::TreePreconditioner;
+use crate::preconditioner::{exact_tree_or_amg, TreePreconditioner};
 use crate::tree_solver::TreeSolver;
 use sgl_graph::laplacian::{laplacian_csr, LaplacianOp};
 use sgl_graph::traversal::is_connected;
 use sgl_graph::Graph;
-use sgl_linalg::{par, vecops, CholeskyFactor, JacobiPreconditioner, LinalgError, Preconditioner};
+use sgl_linalg::{par, vecops, CholeskyFactor, LinalgError, Preconditioner};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -228,10 +229,10 @@ impl SolverHandle for DenseHandle {
 /// The method a [`SolverPolicy`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyMethod {
-    /// Pick from the graph: exact tree solve for trees, tree-PCG for
-    /// near-trees (density ≤ 1.4; exact within the
-    /// [`TreePcg`](Self::TreePcg) rule, the plain tree preconditioner
-    /// above it), AMG-PCG otherwise.
+    /// Pick from the graph: the exact tree solve for trees; otherwise
+    /// [`exact_tree_or_amg`]'s choice — tree-PCG on the exact near-tree
+    /// preconditioner while the `k` off-tree edges satisfy
+    /// `k² ≤ 16·N`, AMG-PCG above that.
     #[default]
     Auto,
     /// Exact `O(N)` elimination (graph must be a tree).
@@ -242,23 +243,20 @@ pub enum PolicyMethod {
     TreePcg,
     /// PCG preconditioned by an aggregation-AMG V-cycle.
     AmgPcg,
-    /// PCG preconditioned by the Laplacian diagonal.
-    JacobiPcg,
     /// Dense Cholesky of `L + (1/N)·11ᵀ` — exact, small-N reference.
     DenseCholesky,
 }
 
 impl PolicyMethod {
-    /// Short stable name (for logs, traces, and downgrade events); a
-    /// handle's [`method_name`](SolverHandle::method_name) is the name of
-    /// the method `Auto` resolved to.
+    /// Short stable name (for logs and traces); a handle's
+    /// [`method_name`](SolverHandle::method_name) is the name of the
+    /// method `Auto` resolved to.
     pub fn name(self) -> &'static str {
         match self {
             PolicyMethod::Auto => "auto",
             PolicyMethod::TreeDirect => "tree-direct",
             PolicyMethod::TreePcg => "tree-pcg",
             PolicyMethod::AmgPcg => "amg-pcg",
-            PolicyMethod::JacobiPcg => "jacobi-pcg",
             PolicyMethod::DenseCholesky => "dense-cholesky",
         }
     }
@@ -351,32 +349,34 @@ impl SolverPolicy {
             ));
         }
         let is_tree = graph.num_edges() == n - 1;
-        let method = match self.method {
-            PolicyMethod::Auto if is_tree => PolicyMethod::TreeDirect,
-            PolicyMethod::Auto if graph.density() <= 1.4 => PolicyMethod::TreePcg,
-            PolicyMethod::Auto => PolicyMethod::AmgPcg,
-            m => m,
-        };
-        let pcg = |precond: Box<dyn Preconditioner + Send + Sync>| Kernel::Pcg {
-            op: LaplacianOp::new(graph),
-            precond,
-        };
-        let kernel = match method {
+        let (method, precond): (_, Box<dyn Preconditioner + Send + Sync>) = match self.method {
             PolicyMethod::DenseCholesky => {
                 return Ok(Arc::new(DenseHandle::new(graph, self.parallelism)?));
             }
-            PolicyMethod::TreeDirect if !is_tree => {
+            PolicyMethod::Auto | PolicyMethod::TreeDirect if is_tree => {
+                let kernel = Kernel::Tree(TreeSolver::new(graph));
+                return Ok(Arc::new(PcgHandle::new(
+                    kernel,
+                    PolicyMethod::TreeDirect,
+                    self,
+                    n,
+                )));
+            }
+            PolicyMethod::TreeDirect => {
                 return Err(LinalgError::InvalidInput(
                     "TreeDirect requested on a graph with cycles".into(),
                 ));
             }
-            PolicyMethod::TreeDirect => Kernel::Tree(TreeSolver::new(graph)),
-            PolicyMethod::TreePcg => pcg(Box::new(TreePreconditioner::from_graph(graph))),
-            PolicyMethod::AmgPcg => pcg(Box::new(AmgHierarchy::build(graph))),
-            PolicyMethod::JacobiPcg => pcg(Box::new(JacobiPreconditioner::from_diagonal(
-                &graph.weighted_degrees(),
-            ))),
-            PolicyMethod::Auto => unreachable!("resolved above"),
+            PolicyMethod::Auto => exact_tree_or_amg(graph),
+            PolicyMethod::TreePcg => (
+                PolicyMethod::TreePcg,
+                Box::new(TreePreconditioner::from_graph(graph)),
+            ),
+            PolicyMethod::AmgPcg => (PolicyMethod::AmgPcg, Box::new(AmgHierarchy::build(graph))),
+        };
+        let kernel = Kernel::Pcg {
+            op: LaplacianOp::new(graph),
+            precond,
         };
         Ok(Arc::new(PcgHandle::new(kernel, method, self, n)))
     }
@@ -544,7 +544,6 @@ mod tests {
             PolicyMethod::Auto,
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
         ] {
             let h = SolverPolicy::default()
                 .with_method(method)
@@ -579,12 +578,12 @@ mod tests {
         let g = grid2d(12, 12);
         let b = mean_zero_rhs(144, 4);
         let tight = SolverPolicy::default()
-            .with_method(PolicyMethod::JacobiPcg)
+            .with_method(PolicyMethod::AmgPcg)
             .build_handle(&g)
             .unwrap();
         tight.solve(&b).unwrap();
         let loose = SolverPolicy::default()
-            .with_method(PolicyMethod::JacobiPcg)
+            .with_method(PolicyMethod::AmgPcg)
             .with_rtol(1e-2)
             .build_handle(&g)
             .unwrap();

@@ -19,40 +19,25 @@
 //! what changed. The rebuild is cheap on the graphs SGL learns: they
 //! are spanning trees plus `k` off-tree edges, which `Auto` serves with
 //! the exact near-tree preconditioner
-//! ([`TreePreconditioner`](crate::TreePreconditioner)) — `k` `O(N)` tree
-//! solves and a `k × k` factor to set up, one PCG iteration per solve.
+//! ([`exact_tree_or_amg`](crate::preconditioner::exact_tree_or_amg)) —
+//! `k` `O(N)` tree solves and a `k × k` factor to set up, one PCG
+//! iteration per solve.
 //!
 //! [`invalidate`](SolverContext::invalidate) forces a rebuild of an
-//! unchanged graph (fault recovery, a freshly installed fault plan).
-//! A failed build walks a degradation ladder (AMG → tree → Jacobi), and
-//! [`revision_stats`](SolverContext::revision_stats) reports how many
-//! handles were built and how many builds were downgraded.
+//! unchanged graph (fault recovery, a freshly installed fault plan), and
+//! [`handles_built`](SolverContext::handles_built) counts the builds. A
+//! failed build is returned as it is: every way `build_handle` can fail
+//! (policy validation, an empty or disconnected graph, the dense size
+//! cap, a pinned `TreeDirect` on a graph with cycles) fails the same way
+//! on a retry. The one fault this layer injects is
+//! [`FaultKind::PcgStagnation`], through a handle wrapper that a
+//! [`FaultPlan`] installs.
 
-use crate::backend::{PolicyMethod, SolveStats, SolverHandle, SolverPolicy};
+use crate::backend::{SolveStats, SolverHandle, SolverPolicy};
 use crate::fault::{FaultKind, FaultPlan};
 use sgl_graph::Graph;
 use sgl_linalg::LinalgError;
 use std::sync::Arc;
-
-/// Lifetime counters of a [`SolverContext`]: how many handles it built
-/// and how many of those builds the degradation ladder rescued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RevisionStats {
-    /// Handle builds (one per graph revision served, plus rebuilds
-    /// after [`invalidate`](SolverContext::invalidate)).
-    pub handles_built: usize,
-    /// Preconditioner downgrades taken by the degradation ladder
-    /// (AMG → tree → Jacobi) after a build breakdown.
-    pub precond_downgrades: usize,
-}
-
-impl RevisionStats {
-    /// Fold another context's counters into this one.
-    pub fn absorb(&mut self, other: &RevisionStats) {
-        self.handles_built += other.handles_built;
-        self.precond_downgrades += other.precond_downgrades;
-    }
-}
 
 /// Revision-tracked solver cache driven by a [`SolverPolicy`] (see the
 /// [module docs](self)).
@@ -64,7 +49,9 @@ pub struct SolverContext {
     /// none yet).
     revision: u64,
     stale: bool,
-    stats: RevisionStats,
+    /// Handle builds (one per graph revision served, plus rebuilds after
+    /// [`invalidate`](SolverContext::invalidate)).
+    handles_built: usize,
     /// Fingerprint of the graph the cached handle was built for — the
     /// revision counter's debug-mode witness.
     #[cfg(debug_assertions)]
@@ -105,7 +92,7 @@ impl std::fmt::Debug for SolverContext {
             .field("policy", &self.policy)
             .field("cached", &self.handle.is_some())
             .field("stale", &self.stale)
-            .field("stats", &self.stats)
+            .field("handles_built", &self.handles_built)
             .finish()
     }
 }
@@ -118,7 +105,7 @@ impl SolverContext {
             handle: None,
             revision: 0,
             stale: false,
-            stats: RevisionStats::default(),
+            handles_built: 0,
             #[cfg(debug_assertions)]
             fingerprint: 0,
             retired_stats: SolveStats::default(),
@@ -131,11 +118,10 @@ impl SolverContext {
         &self.policy
     }
 
-    /// Install a deterministic fault-injection schedule. Every
-    /// subsequent handle build and solve through a context-built handle
-    /// consults the plan at its opportunity site. Installing a plan
-    /// invalidates the cache so already-built handles don't bypass
-    /// injection.
+    /// Install a deterministic fault-injection schedule: every
+    /// subsequent solve through a context-built handle consults the plan
+    /// for [`FaultKind::PcgStagnation`]. Installing a plan invalidates
+    /// the cache so already-built handles don't bypass injection.
     pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.faults = Some(plan);
         self.stale = true;
@@ -156,9 +142,8 @@ impl SolverContext {
     /// [`invalidate`](SolverContext::invalidate).
     ///
     /// # Errors
-    /// Propagates [`SolverPolicy::build_handle`] failures that the
-    /// degradation ladder cannot recover; the stale cache is dropped
-    /// either way.
+    /// Propagates [`SolverPolicy::build_handle`] failures; the stale
+    /// cache is dropped either way.
     pub fn handle_for(&mut self, graph: &Graph) -> Result<Arc<dyn SolverHandle>, LinalgError> {
         let rebuild = self.handle.is_none()
             || self.stale
@@ -170,9 +155,18 @@ impl SolverContext {
             }
             let handle = {
                 let _sp = sgl_trace::span!("handle_build", count = graph.num_nodes());
-                self.build_with_degradation(graph)?
+                self.policy.build_handle(graph)?
             };
-            self.stats.handles_built += 1;
+            let handle: Arc<dyn SolverHandle> = match &self.faults {
+                Some(plan) if plan.plans(FaultKind::PcgStagnation) => {
+                    Arc::new(FaultInjectedHandle {
+                        inner: handle,
+                        plan: Arc::clone(plan),
+                    })
+                }
+                _ => handle,
+            };
+            self.handles_built += 1;
             sgl_trace::count("solver.handles_built", 1);
             self.stale = false;
             self.revision = graph.revision();
@@ -195,54 +189,6 @@ impl SolverContext {
         Ok(Arc::clone(self.handle.as_ref().expect("handle just built")))
     }
 
-    /// Build a handle for `graph`, walking the preconditioner
-    /// degradation ladder on breakdown: a failed primary build (real, or
-    /// injected via [`FaultKind::PrecondBreakdown`]) downgrades to a
-    /// spanning-tree preconditioner, then to Jacobi — each successful
-    /// downgrade counted in [`RevisionStats::precond_downgrades`]. The
-    /// dense reference deliberately has no ladder (its size-cap failure
-    /// is a configuration contract, not a numerical breakdown).
-    /// When a plan schedules [`FaultKind::PcgStagnation`], the built
-    /// handle is wrapped so solves consult the plan.
-    fn build_with_degradation(
-        &mut self,
-        graph: &Graph,
-    ) -> Result<Arc<dyn SolverHandle>, LinalgError> {
-        let injected = self
-            .faults
-            .as_ref()
-            .is_some_and(|p| p.should_fire(FaultKind::PrecondBreakdown));
-        let primary = if injected {
-            Err(FaultPlan::error_for(FaultKind::PrecondBreakdown))
-        } else {
-            self.policy.build_handle(graph)
-        };
-        let built = match primary {
-            Ok(h) => Ok(h),
-            Err(err) => {
-                let mut recovered = Err(err);
-                for &method in downgrade_ladder(self.policy.method) {
-                    let fallback = self.policy.clone().with_method(method);
-                    if let Ok(h) = fallback.build_handle(graph) {
-                        self.stats.precond_downgrades += 1;
-                        sgl_trace::count("solver.precond_downgrades", 1);
-                        sgl_trace::trace_event!("precond_downgrade", label = method.name());
-                        recovered = Ok(h);
-                        break;
-                    }
-                }
-                recovered
-            }
-        }?;
-        Ok(match &self.faults {
-            Some(plan) if plan.plans(FaultKind::PcgStagnation) => Arc::new(FaultInjectedHandle {
-                inner: built,
-                plan: Arc::clone(plan),
-            }),
-            _ => built,
-        })
-    }
-
     /// The cached handle, if any (no build is triggered).
     pub fn current_handle(&self) -> Option<&Arc<dyn SolverHandle>> {
         self.handle.as_ref()
@@ -252,12 +198,7 @@ impl SolverContext {
     /// the per-revision cache (and the witness that a solver-free
     /// pipeline never built one).
     pub fn handles_built(&self) -> usize {
-        self.stats.handles_built
-    }
-
-    /// Lifetime counters: handle builds and ladder downgrades.
-    pub fn revision_stats(&self) -> RevisionStats {
-        self.stats
+        self.handles_built
     }
 
     /// Lifetime solve statistics: every retired revision's counters plus
@@ -271,22 +212,6 @@ impl SolverContext {
     }
 }
 
-/// The degradation ladder: which methods to fall back to, in order,
-/// when a build breaks down. Strictly toward cheaper, more robust
-/// setups — Jacobi cannot break down on a connected Laplacian. Dense
-/// Cholesky is excluded on purpose: its failure mode is the
-/// `dense_max_nodes` configuration cap, which must surface, not
-/// degrade.
-fn downgrade_ladder(method: PolicyMethod) -> &'static [PolicyMethod] {
-    match method {
-        PolicyMethod::Auto | PolicyMethod::AmgPcg => {
-            &[PolicyMethod::TreePcg, PolicyMethod::JacobiPcg]
-        }
-        PolicyMethod::TreePcg | PolicyMethod::TreeDirect => &[PolicyMethod::JacobiPcg],
-        _ => &[],
-    }
-}
-
 /// A [`SolverHandle`] wrapper that consults a [`FaultPlan`] before
 /// delegating: one [`FaultKind::PcgStagnation`] opportunity per
 /// `solve`/`solve_batch` call, checked on the serial control path
@@ -295,6 +220,21 @@ fn downgrade_ladder(method: PolicyMethod) -> &'static [PolicyMethod] {
 struct FaultInjectedHandle {
     inner: Arc<dyn SolverHandle>,
     plan: Arc<FaultPlan>,
+}
+
+impl FaultInjectedHandle {
+    /// One stagnation opportunity: when the plan fires here, the error
+    /// an exhausted iteration budget surfaces as.
+    fn stagnate(&self) -> Result<(), LinalgError> {
+        if self.plan.should_fire(FaultKind::PcgStagnation) {
+            return Err(LinalgError::NotConverged {
+                method: "fault-injection",
+                iterations: 0,
+                residual: f64::INFINITY,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl SolverHandle for FaultInjectedHandle {
@@ -307,16 +247,12 @@ impl SolverHandle for FaultInjectedHandle {
     }
 
     fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if self.plan.should_fire(FaultKind::PcgStagnation) {
-            return Err(FaultPlan::error_for(FaultKind::PcgStagnation));
-        }
+        self.stagnate()?;
         self.inner.solve(b)
     }
 
     fn solve_batch(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        if self.plan.should_fire(FaultKind::PcgStagnation) {
-            return Err(FaultPlan::error_for(FaultKind::PcgStagnation));
-        }
+        self.stagnate()?;
         self.inner.solve_batch(rhs)
     }
 
@@ -328,6 +264,7 @@ impl SolverHandle for FaultInjectedHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::PolicyMethod;
     use sgl_datasets::grid2d;
     use sgl_linalg::{vecops, Rng};
 
@@ -476,7 +413,6 @@ mod tests {
         for method in [
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
             PolicyMethod::DenseCholesky,
         ] {
             let mut g = grid2d(6, 6);
@@ -496,25 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_breakdown_walks_the_downgrade_ladder() {
-        let g = grid2d(5, 5);
-        let mut ctx = SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::AmgPcg));
-        let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::PrecondBreakdown, 0));
-        ctx.set_fault_plan(Arc::clone(&plan));
-        let h = ctx.handle_for(&g).unwrap();
-        assert_eq!(h.method_name(), "tree-pcg", "first rung of the ladder");
-        assert_eq!(ctx.revision_stats().precond_downgrades, 1);
-        assert_eq!(plan.injected_count(), 1);
-        // The downgraded handle still solves to policy tolerance.
-        assert_matches_fresh(&mut ctx, &g, 21, 1e-8);
-        // The next rebuild is past the trigger: back to the primary.
-        ctx.invalidate();
-        let h2 = ctx.handle_for(&g).unwrap();
-        assert_eq!(h2.method_name(), "amg-pcg");
-        assert_eq!(ctx.revision_stats().precond_downgrades, 1);
-    }
-
-    #[test]
     fn injected_stagnation_surfaces_then_recovers() {
         let g = grid2d(5, 5);
         let mut ctx = SolverContext::new(SolverPolicy::default());
@@ -527,22 +444,5 @@ mod tests {
         h.solve(&b).unwrap();
         assert_eq!(plan.injected_count(), 1);
         assert_eq!(h.stats().solves, 1, "the injected failure is not a solve");
-    }
-
-    #[test]
-    fn tree_direct_base_that_gains_a_cycle_degrades_to_jacobi() {
-        // A context pinned to the exact tree solve cannot rebuild it once
-        // the graph gains an off-tree edge: the ladder serves Jacobi-PCG.
-        let n = 30;
-        let mut g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1, 1.0 + 0.1 * i as f64)));
-        let mut ctx =
-            SolverContext::new(SolverPolicy::default().with_method(PolicyMethod::TreeDirect));
-        assert_eq!(ctx.handle_for(&g).unwrap().method_name(), "tree-direct");
-        g.add_edge(0, 15, 0.5);
-        g.add_edge(7, 22, 1.0);
-        assert_eq!(ctx.handle_for(&g).unwrap().method_name(), "jacobi-pcg");
-        assert_eq!(ctx.handles_built(), 2);
-        assert_eq!(ctx.revision_stats().precond_downgrades, 1);
-        assert_matches_fresh(&mut ctx, &g, 10, 1e-8);
     }
 }

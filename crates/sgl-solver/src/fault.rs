@@ -3,14 +3,14 @@
 //! A [`FaultPlan`] is a seeded schedule of failures threaded through the
 //! solver layer ([`SolverContext`](crate::SolverContext)) and the serving
 //! layer (`sgl-serve`). Each [`FaultKind`] has *opportunity* sites in the
-//! code — points where that failure could physically occur (a
-//! preconditioner build, a PCG solve, a writer-thread ingest). Every time execution
-//! reaches a site it asks [`FaultPlan::should_fire`], which increments
-//! that kind's opportunity counter and fires iff the counter matches one
-//! of the plan's trigger indices.
+//! code — points where that failure could physically occur (a PCG solve,
+//! a writer-thread ingest). Every time execution reaches a site it asks
+//! [`FaultPlan::should_fire`], which increments that kind's opportunity
+//! counter and fires iff the counter matches one of the plan's trigger
+//! indices.
 //!
 //! Opportunity counters advance on the *serial* control path (one tick
-//! per solve/build call, checked before any parallel dispatch), so a
+//! per solve call, checked before any parallel dispatch), so a
 //! plan fires at exactly the same logical instant regardless of thread
 //! count — faulted runs stay bit-identical at 1 vs N threads, which is
 //! what lets CI assert recovery equivalence.
@@ -21,17 +21,13 @@
 //! job), while [`FaultPlan::with_fault`] pins individual triggers for
 //! targeted tests.
 
-use sgl_linalg::{LinalgError, Rng};
+use sgl_linalg::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The failure modes a [`FaultPlan`] can force.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Breakdown of the primary handle build (any method). Recovery:
-    /// the downgrade ladder in [`SolverContext`](crate::SolverContext)
-    /// (AMG → tree → Jacobi).
-    PrecondBreakdown,
     /// PCG stagnation / iteration-budget exhaustion on a solve.
     /// Recovery: the session invalidates its solver state and retries
     /// on a fresh factorization.
@@ -45,16 +41,11 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in counter order.
-    pub const ALL: [FaultKind; 3] = [
-        FaultKind::PrecondBreakdown,
-        FaultKind::PcgStagnation,
-        FaultKind::WriterPanic,
-    ];
+    pub const ALL: [FaultKind; 2] = [FaultKind::PcgStagnation, FaultKind::WriterPanic];
 
     /// Stable kebab-case label (logs, bench JSON).
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultKind::PrecondBreakdown => "precond-breakdown",
             FaultKind::PcgStagnation => "pcg-stagnation",
             FaultKind::WriterPanic => "writer-panic",
         }
@@ -62,9 +53,8 @@ impl FaultKind {
 
     fn index(self) -> usize {
         match self {
-            FaultKind::PrecondBreakdown => 0,
-            FaultKind::PcgStagnation => 1,
-            FaultKind::WriterPanic => 2,
+            FaultKind::PcgStagnation => 0,
+            FaultKind::WriterPanic => 1,
         }
     }
 }
@@ -82,9 +72,9 @@ pub struct FaultEvent {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Trigger opportunity indices per kind (sorted, deduplicated).
-    triggers: [Vec<usize>; 3],
+    triggers: [Vec<usize>; 2],
     /// Live opportunity counters per kind.
-    counters: [AtomicUsize; 3],
+    counters: [AtomicUsize; 2],
     /// Log of faults that actually fired.
     injected: Mutex<Vec<FaultEvent>>,
 }
@@ -107,12 +97,11 @@ impl FaultPlan {
     }
 
     /// The standard seeded schedule used by the bench fault arm and the
-    /// CI smoke job: one early build breakdown, one PCG stagnation and
-    /// one writer panic, each at a seed-derived early opportunity.
+    /// CI smoke job: one PCG stagnation and one writer panic, each at a
+    /// seed-derived early opportunity.
     pub fn seeded(seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
         Self::new()
-            .with_fault(FaultKind::PrecondBreakdown, rng.below(2))
             .with_fault(FaultKind::PcgStagnation, 1 + rng.below(4))
             .with_fault(FaultKind::WriterPanic, rng.below(2))
     }
@@ -134,20 +123,6 @@ impl FaultPlan {
             log.push(FaultEvent { kind, opportunity });
         }
         true
-    }
-
-    /// The canonical error an injected solver-side fault surfaces as.
-    /// Breakdown faults mimic a factorization failure; stagnation faults
-    /// mimic an exhausted iteration budget.
-    pub fn error_for(kind: FaultKind) -> LinalgError {
-        match kind {
-            FaultKind::PrecondBreakdown => LinalgError::NotPositiveDefinite { pivot: usize::MAX },
-            _ => LinalgError::NotConverged {
-                method: "fault-injection",
-                iterations: 0,
-                residual: f64::INFINITY,
-            },
-        }
     }
 
     /// Faults that have actually fired so far, in firing order.
@@ -219,17 +194,5 @@ mod tests {
         }
         let c = FaultPlan::seeded(43);
         assert_ne!(a.triggers, c.triggers);
-    }
-
-    #[test]
-    fn injected_errors_match_failure_modes() {
-        assert!(matches!(
-            FaultPlan::error_for(FaultKind::PrecondBreakdown),
-            LinalgError::NotPositiveDefinite { .. }
-        ));
-        assert!(matches!(
-            FaultPlan::error_for(FaultKind::PcgStagnation),
-            LinalgError::NotConverged { .. }
-        ));
     }
 }

@@ -199,11 +199,7 @@ mod tests {
         let mut b = rng.normal_vec(64);
         vecops::project_out_mean(&mut b);
         let mut solutions = Vec::new();
-        for m in [
-            PolicyMethod::TreePcg,
-            PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
-        ] {
+        for m in [PolicyMethod::TreePcg, PolicyMethod::AmgPcg] {
             solutions.push(build(&g, m).unwrap().solve(&b).unwrap());
         }
         for w in solutions.windows(2) {

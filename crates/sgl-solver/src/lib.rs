@@ -17,8 +17,8 @@
 //!   user-controllable end to end, and
 //!   [`build_handle`](SolverPolicy::build_handle) is the one way to get
 //!   a solver: it picks the method (`Auto` resolves from the graph) and
-//!   prepares it — exact tree solve, tree-/AMG-/Jacobi-preconditioned
-//!   PCG, or the exact small-N dense Cholesky reference that factors
+//!   prepares it — exact tree solve, tree- or AMG-preconditioned PCG, or
+//!   the exact small-N dense Cholesky reference that factors
 //!   `L + (1/N)·11ᵀ` once.
 //! * [`SolverHandle`] — a prepared solver for one fixed graph:
 //!   [`solve`](SolverHandle::solve), multi-RHS
@@ -26,16 +26,19 @@
 //!   [`stats`](SolverHandle::stats). Shared across stages via `Arc`.
 //! * [`SolverContext`] — a session-owned, revision-tracked cache: one
 //!   handle per learned-graph revision, rebuilt whenever the graph
-//!   moves, with a degradation ladder on build breakdown.
+//!   moves, and wrapped to inject PCG stagnation when a [`FaultPlan`]
+//!   asks for it.
 //!
 //! # The kernels (what the handles are built from)
 //!
 //! * [`tree_solver`] — exact `O(N)` elimination on spanning trees;
-//! * [`preconditioner`] — Jacobi, symmetric Gauss–Seidel and
-//!   spanning-tree preconditioners (support-graph preconditioning: the
-//!   learned graph *is* a tree plus a few off-tree edges, which the tree
+//! * [`preconditioner`] — symmetric Gauss–Seidel and spanning-tree
+//!   preconditioners (support-graph preconditioning: the learned graph
+//!   *is* a tree plus a few off-tree edges, which the tree
 //!   preconditioner absorbs exactly through the Woodbury identity when
-//!   they are few enough);
+//!   they are few enough), and [`exact_tree_or_amg`], the one rule that
+//!   picks between that exact near-tree preconditioner and AMG for both
+//!   `Auto` and the embed;
 //! * [`amg`] — unsmoothed-aggregation algebraic multigrid whose Galerkin
 //!   coarse operators are literal graph contractions.
 //!
@@ -73,7 +76,7 @@ pub mod tree_solver;
 
 pub use amg::AmgHierarchy;
 pub use backend::{PolicyMethod, SolveStats, SolverHandle, SolverPolicy};
-pub use context::{RevisionStats, SolverContext};
+pub use context::SolverContext;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use preconditioner::{GaussSeidelPreconditioner, TreePreconditioner};
+pub use preconditioner::{exact_tree_or_amg, GaussSeidelPreconditioner, TreePreconditioner};
 pub use tree_solver::TreeSolver;

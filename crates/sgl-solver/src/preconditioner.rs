@@ -1,5 +1,9 @@
-//! Preconditioners for projected PCG on graph Laplacians.
+//! Preconditioners for projected PCG on graph Laplacians, and the one
+//! rule ([`exact_tree_or_amg`]) that picks between the exact near-tree
+//! preconditioner and AMG.
 
+use crate::amg::AmgHierarchy;
+use crate::backend::PolicyMethod;
 use crate::tree_solver::TreeSolver;
 use sgl_graph::mst::maximum_spanning_tree;
 use sgl_graph::Graph;
@@ -15,6 +19,37 @@ const MAX_OFF_TREE_SQ_PER_NODE: usize = 16;
 /// Whether `k` off-tree edges on `n` nodes fall within the exactness rule.
 fn off_tree_fits(n: usize, k: usize) -> bool {
     k.saturating_mul(k) <= MAX_OFF_TREE_SQ_PER_NODE.saturating_mul(n)
+}
+
+/// The tree-or-AMG choice for a connected graph, made here alone for
+/// [`PolicyMethod::Auto`] and for Step 2's embed. Within the rule — the
+/// graph is a tree, or its `k = m − (n − 1)` off-tree edges satisfy
+/// `k² ≤ 16·n` — it returns the exact near-tree [`TreePreconditioner`]
+/// (one PCG iteration per solve); above the rule, or when the off-tree
+/// capacitance fails to factor, an [`AmgHierarchy`]. The rule is decided
+/// from `k` before anything is built.
+///
+/// A plain tree solve supports many off-tree edges poorly, so AMG takes
+/// over above the rule: a cold width-4 LOBPCG embed of `grid2d(30, 30)`
+/// takes 19 iterations on AMG and 282 on the plain tree, and on a
+/// 224×224 learned near-tree (`k = 1,587` against a limit of 896) PCG
+/// took 131 iterations per solve on AMG and 972 on the plain tree.
+///
+/// Returns the method picked ([`PolicyMethod::TreePcg`] or
+/// [`PolicyMethod::AmgPcg`]) with its preconditioner.
+///
+/// # Panics
+/// Panics if the graph is disconnected and within the rule.
+pub fn exact_tree_or_amg(g: &Graph) -> (PolicyMethod, Box<dyn Preconditioner + Send + Sync>) {
+    let n = g.num_nodes();
+    let k = (g.num_edges() + 1).saturating_sub(n);
+    if off_tree_fits(n, k) {
+        let tree = TreePreconditioner::from_graph(g);
+        if k == 0 || tree.off_tree.is_some() {
+            return (PolicyMethod::TreePcg, Box::new(tree));
+        }
+    }
+    (PolicyMethod::AmgPcg, Box::new(AmgHierarchy::build(g)))
 }
 
 /// Spanning-tree (support-graph) preconditioner: an exact solve on a
@@ -117,23 +152,6 @@ impl TreePreconditioner {
         let solver = TreeSolver::new(&t.to_graph(g));
         let off_tree = OffTreeCorrection::build(g, &solver, &t.off_tree_edges());
         TreePreconditioner { solver, off_tree }
-    }
-
-    /// The exact `L⁺` of a connected tree or near-tree, or `None` where
-    /// [`from_graph`](Self::from_graph) would fall back to the plain tree
-    /// solve: above the rule, decided from `k = m − (n − 1)` before
-    /// anything is built, or when the capacitance fails to factor.
-    ///
-    /// # Panics
-    /// Panics if the graph is disconnected.
-    pub fn exact(g: &Graph) -> Option<Self> {
-        let n = g.num_nodes();
-        let k = (g.num_edges() + 1).saturating_sub(n);
-        if !off_tree_fits(n, k) {
-            return None;
-        }
-        let m = Self::from_graph(g);
-        (k == 0 || m.off_tree.is_some()).then_some(m)
     }
 
     /// Build directly from a known spanning tree (the plain tree solve).
@@ -257,7 +275,7 @@ impl Preconditioner for GaussSeidelPreconditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{PolicyMethod, SolverPolicy};
+    use crate::backend::SolverPolicy;
     use sgl_graph::laplacian::laplacian_csr;
     use sgl_linalg::cg::{pcg_solve, CgOptions};
     use sgl_linalg::{ProjectedOperator, Rng};
@@ -294,7 +312,7 @@ mod tests {
         // Through `from_graph`, k = 0: a pure tree needs no correction.
         let from_graph = TreePreconditioner::from_graph(&tree);
         assert!(from_graph.off_tree.is_none());
-        assert!(TreePreconditioner::exact(&tree).is_some());
+        assert_eq!(exact_tree_or_amg(&tree).0, PolicyMethod::TreePcg);
         for m in [TreePreconditioner::from_tree(&tree), from_graph] {
             let iters = solve_with(&tree, &m, 3);
             assert!(iters <= 2, "tree-preconditioned solve took {iters} iters");
@@ -318,7 +336,7 @@ mod tests {
         let g = sgl_datasets::weighted_near_tree(n, 20, 11);
         let m = TreePreconditioner::from_graph(&g);
         assert_eq!(m.off_tree.as_ref().map(|c| c.edges.len()), Some(20));
-        assert!(TreePreconditioner::exact(&g).is_some());
+        assert_eq!(exact_tree_or_amg(&g).0, PolicyMethod::TreePcg);
 
         let dense = SolverPolicy::default()
             .with_method(PolicyMethod::DenseCholesky)
@@ -348,7 +366,7 @@ mod tests {
         let g = sgl_datasets::grid2d(7, 7);
         let m = TreePreconditioner::from_graph(&g);
         assert!(m.off_tree.is_none());
-        assert!(TreePreconditioner::exact(&g).is_none());
+        assert_eq!(exact_tree_or_amg(&g).0, PolicyMethod::AmgPcg);
         assert!(solve_with(&g, &m, 7) > 1);
     }
 

@@ -89,9 +89,9 @@ fn pcg_backends_solve_random_connected_graphs() {
         let b = mean_zero(n, seed ^ 2);
         let l = laplacian_csr(&g);
         for method in [
+            PolicyMethod::Auto,
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
         ] {
             let s = SolverPolicy::default()
                 .with_method(method)

@@ -1,8 +1,8 @@
 //! Metrics registry: named monotonic counters and log-scale histograms.
 //!
 //! The registry unifies the ad-hoc counters spread across `SolveStats`,
-//! `RevisionStats`, and `ServeStats` under stable dotted names (e.g.
-//! `solver.pcg_iterations`). Counters and histograms are plain atomics, so
+//! `SolverContext::handles_built`, and `ServeStats` under stable dotted
+//! names (e.g. `solver.pcg_iterations`). Counters and histograms are plain atomics, so
 //! recording from worker threads never takes a lock; name resolution does
 //! take a short global lock, which is why call sites resolve once per
 //! operation (a solve, a publish), never per inner-loop step.

@@ -6,10 +6,9 @@
 //! 1. **Checkpoint/resume** — interrupt a learning session mid-loop,
 //!    save it to disk, restore, and verify the resumed run learns a
 //!    graph bit-identical to the uninterrupted one.
-//! 2. **Faulted learning** — rerun the same learn with a seeded
-//!    [`FaultPlan`] forcing a preconditioner breakdown and a PCG
-//!    stagnation; the recovery ladder (downgrade → invalidate-and-retry
-//!    → strategy fallback) absorbs them both and the learned graph
+//! 2. **Faulted learning** — rerun the same learn with a [`FaultPlan`]
+//!    forcing a PCG stagnation; the session invalidates its solver
+//!    handle and retries the step on a fresh one, and the learned graph
 //!    matches the fault-free run.
 //! 3. **Degraded serving** — serve the model through an injected writer
 //!    panic; the supervised writer restarts from accumulated
@@ -67,11 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(identical, "resumed run diverged from the uninterrupted one");
 
     // ---- Act 2: faulted learning --------------------------------------
-    let plan = Arc::new(
-        FaultPlan::new()
-            .with_fault(FaultKind::PrecondBreakdown, 0)
-            .with_fault(FaultKind::PcgStagnation, 0),
-    );
+    let plan = Arc::new(FaultPlan::new().with_fault(FaultKind::PcgStagnation, 0));
     let mut faulted = SglSession::from_owned(cfg.clone(), meas)?;
     faulted.set_fault_plan(Arc::clone(&plan));
     faulted.run_to_completion()?;
@@ -84,8 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "recovery        : {} preconditioner downgrades, {} strategy fallbacks, converged: {}",
-        faulted.revision_stats.precond_downgrades, faulted.fallbacks_taken, faulted.converged,
+        "recovery        : {} strategy fallbacks, converged: {}",
+        faulted.fallbacks_taken, faulted.converged,
     );
     let max_drift = uninterrupted
         .graph

@@ -116,10 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.query_latency_p50_ms * 1e3,
         stats.query_latency_p99_ms * 1e3,
     );
-    println!(
-        "solver revisions: {} handles built",
-        stats.revision.handles_built,
-    );
+    println!("solver revisions: {} handles built", stats.handles_built);
 
     // Handoff back out: finish learning offline with everything absorbed.
     let session = server.shutdown()?;

@@ -90,9 +90,14 @@ fn near_tree() -> Graph {
 
 #[test]
 fn batched_solves_identical_under_ambient_scope() {
+    // `Auto` picks by the exact near-tree rule `k² ≤ 16·n` alone, not by
+    // density: 100 chords on 400 nodes (density 1.25) exceed it, and
+    // the 5×5 grid (k = 16, density 1.6) fits it.
     for (g, method) in [
         (sgl_datasets::grid2d(8, 8), "amg-pcg"),
         (near_tree(), "tree-pcg"),
+        (sgl_datasets::weighted_near_tree(400, 100, 5), "amg-pcg"),
+        (sgl_datasets::grid2d(5, 5), "tree-pcg"),
     ] {
         let n = g.num_nodes();
         let mut rng = Rng::seed_from_u64(9);

@@ -25,11 +25,7 @@ fn all_solver_backends_agree_on_meshes_and_circuits() {
     for (ci, g) in cases.iter().enumerate() {
         let b = mean_zero_rhs(g.num_nodes(), ci as u64);
         let mut solutions = Vec::new();
-        for m in [
-            PolicyMethod::TreePcg,
-            PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
-        ] {
+        for m in [PolicyMethod::TreePcg, PolicyMethod::AmgPcg] {
             let s = SolverPolicy::default()
                 .with_method(m)
                 .build_handle(g)

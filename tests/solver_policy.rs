@@ -161,7 +161,6 @@ fn all_policy_methods_agree_on_small_grids() {
             PolicyMethod::Auto,
             PolicyMethod::TreePcg,
             PolicyMethod::AmgPcg,
-            PolicyMethod::JacobiPcg,
         ] {
             let h = SolverPolicy::default()
                 .with_method(method)
