@@ -457,10 +457,11 @@ fn run_resilience_bench(
     }
 }
 
-/// The leaf phases of one learn run — every span name that holds real
-/// work and has no traced children, so their durations partition the
+/// The leaf phases of one learn run — span names that hold real work and
+/// nest inside none of the others, so their durations partition the
 /// wall-clock without double counting (parents like `iteration` are
-/// excluded).
+/// excluded, and Step 1 counts once as `knn_build`, not as its
+/// `knn_search`/`knn_repair` children).
 const LEAF_PHASES: &[&str] = &[
     "knn_build",
     "init",

@@ -228,12 +228,9 @@ impl<'m> SglSession<'m> {
                 "need at least 4 nodes to learn a graph".into(),
             ));
         }
-        let knn_graph = {
-            let _sp = sgl_trace::span!("knn_build", count = n);
-            with_session_threads(config.parallelism, || {
-                build_knn_graph(measurements.voltages(), config.k)
-            })
-        };
+        let knn_graph = with_session_threads(config.parallelism, || {
+            build_knn_graph(measurements.voltages(), config.k)
+        });
         let mut session = Self::init(config, measurements, knn_graph)?;
         session.knn_candidates = true;
         Ok(session)

@@ -383,6 +383,63 @@ fn served_request_nests_query_and_solve_on_the_worker_thread() {
     );
 }
 
+/// A voltage-only cloud of four well-separated clusters (node `i` in
+/// cluster `i % 4`): its raw 5-NN graph splits into four components, so
+/// the connectivity repair does real work.
+fn four_cluster_cloud(n: usize, dims: usize, seed: u64) -> Measurements {
+    let mut rng = sgl_linalg::Rng::seed_from_u64(seed);
+    let x = sgl_linalg::DenseMatrix::from_fn(n, dims, |i, j| {
+        let center = if i % 4 == j { 50.0 } else { 0.0 };
+        center + rng.standard_normal()
+    });
+    Measurements::from_voltages(x).unwrap()
+}
+
+/// Step 1 explains itself: every kNN build — at session start and on
+/// each `extend_measurements` rebuild — records exactly one `knn_build`
+/// span, which holds its `knn_search` and `knn_repair` children on the
+/// same thread.
+#[test]
+fn every_knn_build_records_its_search_and_repair() {
+    let _guard = sgl_trace::test_guard();
+    let cfg = SglConfig::default()
+        .with_strategy(LearnStrategyKind::SolverFree)
+        .with_max_iterations(3);
+
+    sgl_trace::clear();
+    sgl_trace::enable();
+    let mut session = SglSession::from_owned(cfg, four_cluster_cloud(120, 6, 1)).unwrap();
+    session.run_to_completion().unwrap();
+    let learn_events = sgl_trace::take_events();
+    session
+        .extend_measurements(&four_cluster_cloud(120, 6, 2))
+        .unwrap();
+    let extend_events = sgl_trace::take_events();
+    sgl_trace::disable();
+
+    let inside = |outer: &sgl_trace::Event, inner: &sgl_trace::Event| {
+        inner.tid == outer.tid
+            && inner.ts_ns >= outer.ts_ns
+            && inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns
+    };
+    for (what, events) in [("learn", &learn_events), ("extend", &extend_events)] {
+        let builds: Vec<_> = events.iter().filter(|e| e.name == "knn_build").collect();
+        assert_eq!(
+            builds.len(),
+            1,
+            "{what}: one kNN build, one `knn_build` span"
+        );
+        for child in ["knn_search", "knn_repair"] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.name == child && inside(builds[0], e)),
+                "{what}: no `{child}` span inside `knn_build`"
+            );
+        }
+    }
+}
+
 /// Minimal recursive-descent JSON validator (no serde in the offline
 /// image): accepts exactly the RFC 8259 grammar, rejects everything
 /// else with a byte offset.
