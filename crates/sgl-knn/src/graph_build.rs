@@ -110,9 +110,10 @@ fn repair_connectivity(g: &mut Graph, x: &DenseMatrix) {
 /// with `u` from `inside` and `v` from `outside` (both non-empty).
 fn closest_pair(x: &DenseMatrix, inside: &[usize], outside: &[usize]) -> (usize, usize, f64) {
     let panels = Panels::pack(x, outside);
-    // Each row's first minimum over the outside points, two rows a block:
-    // per lane, panel 0 seeds the minimum and a later panel replaces it
-    // only when strictly closer.
+    // Each row's first minimum over the outside points, two rows a block
+    // (an odd last row runs as its own partner, and the zip below drops
+    // the copy): per lane, panel 0 seeds the minimum and a later panel
+    // replaces it only when strictly closer.
     let rows = par::map_indexed(inside.len().div_ceil(2), REPAIR_MIN_CHUNK, |b| {
         let a0 = x.row(inside[2 * b]);
         let a1 = x.row(inside[(2 * b + 1).min(inside.len() - 1)]);
